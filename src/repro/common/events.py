@@ -39,10 +39,11 @@ alternative — three parallel ``array`` columns (kind / addr-or-amount /
 size, ~17 bytes per event) that a workload fills by appending plain
 integers and the machine consumes with an indexed loop, no per-event
 allocation at all.  Workloads expose batches through
-``Workload.batch_streams`` *alongside* the per-object ``streams``; both
-encodings describe the same event sequence, and the machine's two
-execution paths are required (and tested) to produce bit-identical
-statistics.
+``Workload.batch_streams`` *alongside* the per-object ``streams`` —
+natively, or captured from ``streams`` where that cannot depend on the
+scheduler; both encodings describe the same event sequence, and the
+machine's two execution paths are required (and tested) to produce
+bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -142,7 +143,9 @@ class EventBatch:
 
     Batches carry no value payloads; crash/recovery runs that need
     ``Store.value`` use the per-object encoding (the machine falls back
-    automatically when value tracking is on).
+    automatically when value tracking is on).  A workload without a
+    native emitter can capture its ``streams`` through
+    :func:`batches_from_events` (``mdb`` does).
     """
 
     __slots__ = ("kinds", "args", "sizes")
@@ -277,9 +280,10 @@ def batches_from_events(
 ) -> BatchStream:
     """Chunk a per-object event stream into :class:`EventBatch` runs.
 
-    A compatibility adapter for workloads without a native batch
-    emitter; it still pays the source stream's per-event costs once, so
-    native emitters are preferred on hot paths.
+    How a workload without a native batch emitter captures its streams
+    (``MtestWorkload.batch_streams``).  It still pays the source
+    stream's per-event costs once; memoized (``BatchCachingWorkload``)
+    that is once per harness, not once per run.
     """
     batch = EventBatch()
     append = batch.append_event

@@ -147,11 +147,17 @@ def execute_cell(
     A pure function of its arguments (every run seeds from
     ``config.seed``), so a worker process computing a cell produces the
     bit-identical result the sequential harness would.  ``workload`` may
-    be passed to reuse an already-built (batch-caching) instance.
+    be passed to reuse an already-built (batch-caching) instance.  A
+    thread count the workload does not support raises
+    :class:`~repro.common.errors.ConfigurationError`.
     """
     spec = TechniqueSpec.parse(technique)  # one parser, one error text
     if workload is None:
         workload = make_workload(config, name)
+    if not workload.supports_threads(threads):
+        raise ConfigurationError(
+            f"workload {name!r} does not support {threads} threads"
+        )
     factory_kwargs = sc_factory_kwargs(config, workload, technique, threads, summary)
     machine = Machine(config.machine_config())
     return machine.run(

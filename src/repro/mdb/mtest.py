@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from typing import Iterator, List
 
 from repro.common.errors import ConfigurationError
-from repro.common.events import Event
+from repro.common.events import Event, EventBatch, batches_from_events
 from repro.common.rng import derive_seed, make_rng
 from repro.mdb.kvstore import MdbStore
 from repro.mdb.ops import RecordingOps
@@ -138,3 +138,14 @@ class MtestWorkload(Workload):
             reader_pass(n_batches)
 
         return [iter(ch) for ch in ops.channels]
+
+    def batch_streams(
+        self, num_threads: int, seed: int
+    ) -> List[Iterator[EventBatch]]:
+        """Capture :meth:`streams` at any thread count.
+
+        :meth:`streams` runs the store logic to completion and fills
+        every channel before it returns, so the captured batches cannot
+        depend on how the machine interleaves the threads.
+        """
+        return [batches_from_events(s) for s in self.streams(num_threads, seed)]

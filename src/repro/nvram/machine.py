@@ -598,7 +598,8 @@ class Machine:
         evict_writeback = self._evict_writeback
         plan = self._crash_plan
         # Only store-count plans reach the batched path; ``Machine.run``
-        # routes site-triggered plans to the per-event loop.
+        # routes site enumeration and site-triggered plans to the
+        # per-event loop.
         plan_after = plan.after_stores if plan is not None else None
         # Structured tracing: ``recording`` gates the (rare) FASE-boundary
         # sites below; with the null recorder the fast path adds only
@@ -1015,10 +1016,12 @@ class Machine:
         ----------
         workload:
             Object with ``streams(num_threads, seed) -> list of event
-            iterators`` and a ``name`` attribute.  Workloads may also
-            offer ``batch_streams(num_threads, seed)`` yielding
-            :class:`~repro.common.events.EventBatch` runs; the machine
-            then uses the allocation-free batch loop.
+            iterators`` and a ``name`` attribute.  When its
+            ``batch_streams(num_threads, seed)`` yields
+            :class:`~repro.common.events.EventBatch` runs (the SPLASH2
+            generators and ``mdb`` do; the base
+            :class:`~repro.workloads.base.Workload` returns ``None``),
+            the machine uses the allocation-free batch loop.
         technique_factory:
             Called once per thread id; returns a fresh technique instance
             (software caches are per-thread).
@@ -1027,13 +1030,14 @@ class Machine:
             persistent-write traces (needed for offline MRC analysis and
             the figure pipelines).  ``crash_plan`` schedules a power
             failure; afterwards ``self.crashed_state`` holds the durable
-            NVRAM image.  Site-triggered plans (``at_site``) force the
-            per-event path — site hooks live in the flush plumbing the
-            batched loop bypasses.  ``use_batches`` forces (``True``) or
-            forbids (``False``) the batched fast path; default ``None``
-            selects it automatically whenever the workload provides batch
-            streams and value tracking is off (batches carry no store
-            payloads).  Both paths produce bit-identical results.
+            NVRAM image.  Crash-site enumeration (:meth:`record_sites`)
+            and site-triggered plans (``at_site``) force the per-event
+            path, whatever ``use_batches`` says: the batched loop does
+            not note store sites.  Otherwise ``use_batches`` forces
+            (``True``) or forbids (``False``) the batched fast path;
+            default ``None`` selects it whenever the workload returns
+            batch streams and value tracking is off (batches carry no
+            store payloads).  Both paths produce bit-identical results.
         """
         if args:
             # Deprecation shim for the old positional signature
@@ -1057,7 +1061,7 @@ class Machine:
         if num_threads < 1:
             raise ConfigurationError("num_threads must be >= 1")
         self.arm_crash_plan(crash_plan)
-        if crash_plan is not None and crash_plan.at_site is not None:
+        if self._sites_active:
             use_batches = False
         batch_streams = None
         if use_batches is None:

@@ -26,10 +26,11 @@ class Workload:
 
     Workloads on hot experiment paths should additionally implement
     :meth:`batch_streams`, emitting the *same* event sequence as compact
-    :class:`~repro.common.events.EventBatch` columns; the machine then
-    executes them on its allocation-free batch loop.  The two encodings
-    must stay equivalent — the batch path is an optimisation, never a
-    semantic fork.
+    :class:`~repro.common.events.EventBatch` columns — natively, or by
+    capturing :meth:`streams` when that cannot depend on the scheduler;
+    the machine then executes them on its allocation-free batch loop.
+    The two encodings must stay equivalent — the batch path is an
+    optimisation, never a semantic fork.
     """
 
     name = "abstract"
@@ -43,8 +44,14 @@ class Workload:
     ) -> Optional[List[Iterator[EventBatch]]]:
         """Return per-thread :class:`EventBatch` iterators, or ``None``.
 
-        ``None`` (the default) means the workload has no native batch
-        emitter and the machine falls back to :meth:`streams`.
+        ``None`` (the default) means the workload has no batch emitter
+        and the machine falls back to :meth:`streams`.  The SPLASH2
+        generators emit batches natively; ``mdb`` captures its eagerly
+        built streams through
+        :func:`~repro.common.events.batches_from_events`.  A capture is
+        only legal when the streams cannot depend on the scheduler:
+        threads that pull shared state lazily (an allocator, say) would
+        change their events if captured eagerly.
         """
         return None
 
@@ -73,7 +80,9 @@ class BatchCachingWorkload(Workload):
     materializes the wrapped workload's ``batch_streams`` into lists and
     serves iterators over them on repeat calls, keeping at most
     ``max_entries`` ``(threads, seed)`` materializations (FIFO) so
-    thread-sweep grids do not accumulate unbounded batch data.
+    thread-sweep grids do not accumulate unbounded batch data.  Every
+    configuration with batch streams — native or captured — is memoized;
+    one whose ``batch_streams`` is ``None`` is regenerated on every run.
 
     Everything else — ``streams``, ``store_threads``, workload-specific
     attributes — delegates to the wrapped workload.
@@ -311,8 +320,8 @@ class ComposedWorkload(Workload):
         self, num_threads: int, seed: int
     ) -> Optional[List[Iterator[EventBatch]]]:
         """Chain the parts' batch streams; ``None`` unless every part
-        has a native emitter (mixing encodings would silently change the
-        machine's execution path mid-run)."""
+        returns batch streams (mixing encodings would silently change
+        the machine's execution path mid-run)."""
         per_part = [p.batch_streams(num_threads, seed) for p in self.parts]
         if any(streams is None for streams in per_part):
             return None

@@ -33,6 +33,13 @@ def test_unknown_technique_rejected(tiny_harness):
         tiny_harness.run("queue", "nope")
 
 
+@pytest.mark.parametrize("name", ("hash", "persistent-array"))
+def test_unsupported_thread_count_rejected(tiny_harness, name):
+    """One typed error for every single-threaded workload, naming it."""
+    with pytest.raises(ConfigurationError, match=rf"{name}.*2 threads"):
+        tiny_harness.run(name, "BEST", threads=2)
+
+
 def test_profile_records_traces(tiny_harness):
     prof = tiny_harness.profile("persistent-array")
     assert prof.traces is not None

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.policies import make_factory
-from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
+from repro.common.events import (
+    FaseBegin,
+    FaseEnd,
+    Load,
+    Store,
+    Work,
+    batches_from_events,
+)
 from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.base import Workload
@@ -18,6 +25,14 @@ class ListWorkload(Workload):
 
     def streams(self, num_threads, seed):
         return [iter(s) for s in self._streams]
+
+
+class BatchedListWorkload(ListWorkload):
+    """The same fixed streams, offered as batches so the machine runs
+    its batched loop (fixed lists cannot depend on the interleaving)."""
+
+    def batch_streams(self, num_threads, seed):
+        return [batches_from_events(s) for s in self.streams(num_threads, seed)]
 
 
 @st.composite
@@ -55,19 +70,27 @@ def event_streams(draw):
 TECHNIQUES = ["ER", "LA", "AT", "SC-offline", "BEST"]
 
 
-def run(events, technique):
+def run(events, technique, batched=False, more_threads=()):
+    """Run ``events`` (plus one stream per ``more_threads``) on the
+    per-event loop, or on the batched loop when ``batched``."""
     machine = Machine(MachineConfig())
     kwargs = {"sc_fixed_size": 4} if technique == "SC-offline" else {}
+    workload = (BatchedListWorkload if batched else ListWorkload)(
+        events, *more_threads
+    )
     result = machine.run(
-        ListWorkload(events), make_factory(technique, **kwargs), num_threads=1, seed=0
+        workload,
+        make_factory(technique, **kwargs),
+        num_threads=1 + len(more_threads),
+        seed=0,
     )
     return machine, result
 
 
 @settings(max_examples=30, deadline=None)
-@given(event_streams(), st.sampled_from(TECHNIQUES))
-def test_flush_category_conservation(events, technique):
-    _m, res = run(events, technique)
+@given(event_streams(), st.sampled_from(TECHNIQUES), st.booleans())
+def test_flush_category_conservation(events, technique, batched):
+    _m, res = run(events, technique, batched)
     t = res.threads[0]
     assert t.flushes == (
         t.eviction_flushes
@@ -136,8 +159,23 @@ def test_hw_accesses_match_issued_operations(events):
 
 
 @settings(max_examples=20, deadline=None)
-@given(event_streams(), st.sampled_from(["LA", "AT", "SC-offline"]))
-def test_nothing_left_dirty_after_finish(events, technique):
+@given(event_streams(), st.sampled_from(["LA", "AT", "SC-offline"]), st.booleans())
+def test_nothing_left_dirty_after_finish(events, technique, batched):
     """After the final drain only BEST may leave dirty persistent lines."""
-    machine, _res = run(events, technique)
+    machine, _res = run(events, technique, batched)
     assert machine.hwcache.dirty_lines() == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(event_streams(), min_size=1, max_size=3),
+    st.sampled_from(TECHNIQUES + ["SC"]),
+)
+def test_batched_loop_matches_per_event(threads, technique):
+    """The batched loop is an optimisation, never a semantic fork: on
+    any streams it yields the per-event loop's counters exactly."""
+    m_ev, r_ev = run(threads[0], technique, False, threads[1:])
+    m_b, r_b = run(threads[0], technique, True, threads[1:])
+    assert r_b.to_dict() == r_ev.to_dict()
+    assert m_b.hwcache.accesses == m_ev.hwcache.accesses
+    assert m_b.hwcache.dirty_lines() == m_ev.hwcache.dirty_lines()
