@@ -223,7 +223,8 @@ def campaign(
     (:class:`FaultSpec`); ``commit_before_drain`` is the deliberate
     ordering violation used as the oracle's negative control.
     ``recorder``/``metrics`` attach the observability layer to the
-    in-process replays (see :func:`repro.faults.run_campaign`).
+    in-process replays: the golden run plus one capture pass that takes
+    every crash (see :func:`repro.faults.run_campaign`).
     Returns the :class:`~repro.faults.campaign.CrashMatrix` of verdicts.
     """
     return run_campaign(

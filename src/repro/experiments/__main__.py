@@ -32,7 +32,8 @@ injected crash violated FASE atomicity — so CI can gate on it::
         --fault-models clean,torn_line --max-sites 128 --out matrix.json
 
 Crash replays are profilable too: ``--trace``/``--metrics`` attach the
-observability layer to the in-process replays (a campaign served whole
+observability layer to the in-process replays, the golden run and the
+crash-capture pass (a campaign served whole
 from ``--cache-dir`` performs none, leaving both empty).
 
 The ``profile`` pseudo-artifact analyzes a recorded JSONL trace offline

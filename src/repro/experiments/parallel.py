@@ -160,7 +160,7 @@ def make_task_handlers(
         factory = technique_factory(technique, **factory_kwargs)
         return run_one_shard(shard_config, name, factory, batches, seed).to_dict()
 
-    def handle_crash(payload) -> List[Tuple]:
+    def handle_crash(payload) -> List[List[Dict]]:
         """One crash-campaign chunk; the driver caches in worker state."""
         from repro.faults.campaign import execute_crash_chunk
 

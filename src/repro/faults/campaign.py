@@ -3,13 +3,15 @@
 One campaign = one ``(workload, technique, threads)`` configuration.  A
 golden replay enumerates the injectable sites and records FASE ground
 truth; the :class:`~repro.faults.enumerator.CrashPointEnumerator` picks
-the injection targets; each ``(site, fault_model)`` pair then replays to
-the site, crashes, recovers, and is judged by the oracle.  Results fold
-into a :class:`CrashMatrix` — the (crash-site-class × fault-model →
+the injection targets; each ``(site, fault_model)`` pair is then
+captured and judged (:func:`judge_crashes`): one more replay
+takes the durable image at every target site as it completes, and the
+oracle recovers and judges each image on the spot.  Results fold, in job
+order, into a :class:`CrashMatrix` — the (crash-site-class × fault-model →
 verified/violated) table the ``crashmatrix`` CLI artifact emits.
 
-Replays are independent pure functions of the configuration, so they fan
-out over the same fork-once
+Verdicts are pure functions of the configuration, so chunks of jobs fan
+out, one capture pass per chunk, over the same fork-once
 :class:`~repro.experiments.transport.WorkerPool` as experiment grid
 cells (``--jobs``) — which also means campaigns ride the fleet telemetry
 bus: pass ``telemetry=`` and every worker streams per-chunk claims and
@@ -25,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
@@ -106,14 +108,17 @@ class CrashMatrix:
         """True when every injected crash recovered cleanly."""
         return not self.violations
 
-    def record(self, site_class: str, fault_model: str, violations) -> None:
+    def record(
+        self, site_class: str, fault_model: str, violations: List[dict]
+    ) -> None:
+        """Fold one injected crash's verdict (its violation dicts)."""
         cell = self.cells.setdefault(
             (site_class, fault_model), {"injected": 0, "violated": 0}
         )
         cell["injected"] += 1
         if violations:
             cell["violated"] += 1
-            self.violations.extend(v.to_dict() for v in violations)
+            self.violations.extend(violations)
 
     # -- serialization ---------------------------------------------------
 
@@ -190,16 +195,57 @@ class CrashMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Worker entry point (the pool's "crash" task handler body)
+# Judging crashes (sequential path and pool workers alike)
 # ---------------------------------------------------------------------------
+
+
+def judge_crashes(
+    driver: AtlasReplayDriver,
+    golden: GoldenRun,
+    jobs: Sequence[Tuple[int, str, int]],
+    on_verdict: Optional[Callable[[int, str, List[dict]], None]] = None,
+) -> List[List[dict]]:
+    """Judge every ``(site, fault_model, fault_seed)`` crash of ``jobs``
+    from one capture pass; return each job's violation dicts, in job order.
+
+    The oracle recovers and checks each crashed image inside the driver's
+    sink, so an image is dropped as soon as it is judged and only the
+    verdicts are held.  ``on_verdict(site, fault_model, violations)``
+    fires once per judged crash, in capture (site) order.
+    """
+    verdicts: List[List[dict]] = [[] for _ in jobs]
+
+    def judge(i: int, state, layout) -> None:
+        site, model, _seed = jobs[i]
+        violations = [
+            v.to_dict() for v in check_crash(golden, site, state, layout)
+        ]
+        verdicts[i] = violations
+        if on_verdict is not None:
+            on_verdict(site, model, violations)
+
+    driver.crash_states(jobs, judge)
+    return verdicts
+
+
+def _crash_info(
+    golden: GoldenRun, site: int, model: str, violations: List[dict]
+) -> dict:
+    """The per-crash progress record (live monitor and callbacks)."""
+    return {
+        "site": site,
+        "model": model,
+        "site_class": golden.site_class(site),
+        "violated": bool(violations),
+    }
 
 
 def execute_crash_chunk(
     state: Dict[str, object],
     payload: Tuple[dict, object, GoldenRun, List[Tuple[int, str, int]]],
     emitter=None,
-) -> List[Tuple[int, str, List[dict]]]:
-    """Inject one chunk of ``(site, fault_model, fault_seed)`` crashes.
+) -> List[List[dict]]:
+    """Judge one chunk of ``(site, fault_model, fault_seed)`` crashes.
 
     Runs inside a :class:`~repro.experiments.transport.WorkerPool`
     worker (dispatched by the ``"crash"`` handler in
@@ -209,10 +255,11 @@ def execute_crash_chunk(
     once per (workload, config) and reused across every chunk the worker
     pulls, the same fork-once amortization grid cells get.  The golden
     run ships from the parent, so workers never repeat the crash-free
-    replay.
+    replay; each chunk costs one capture pass (:func:`judge_crashes`).
+    Returns the chunk's violation dicts, in chunk order.
 
     ``emitter``, when the pool carries fleet telemetry, streams one
-    ``task_progress`` event per injected crash with the site class and
+    ``task_progress`` event per judged crash with the site class and
     violation verdict — the campaign monitor's live feed.
     """
     driver_kwargs, workload, golden, jobs = payload
@@ -224,23 +271,13 @@ def execute_crash_chunk(
     if driver is None:
         driver = AtlasReplayDriver(workload, **driver_kwargs)
         state[key] = driver
-    out: List[Tuple[int, str, List[dict]]] = []
-    for site, model, fseed in jobs:
-        crash_state, layout = driver.crash_at(
-            site, fault_model=model, fault_seed=fseed
-        )
-        violations = check_crash(golden, site, crash_state, layout)
-        out.append((site, model, [v.to_dict() for v in violations]))
-        if emitter is not None:
-            emitter.task_progress(
-                {
-                    "site": site,
-                    "model": model,
-                    "site_class": golden.site_class(site),
-                    "violated": bool(violations),
-                }
-            )
-    return out
+    on_verdict = None
+    if emitter is not None:
+
+        def on_verdict(site: int, model: str, violations: List[dict]) -> None:
+            emitter.task_progress(_crash_info(golden, site, model, violations))
+
+    return judge_crashes(driver, golden, jobs, on_verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +310,14 @@ def run_campaign(
     :class:`~repro.workloads.base.Workload` instance.  A workload that
     cannot partition over ``threads`` runs single-threaded instead —
     the hash benchmark, for one, is single-threaded by construction.
-    ``progress(done, total)`` is called after every injected crash; a
+    ``progress(done, total)`` is called after every judged crash; a
     callback declaring a third parameter also receives a per-crash info
     dict (``site``/``model``/``site_class``/``violated``).
 
     ``recorder``/``metrics`` attach the observability layer to the
-    replays this process performs (the golden run, plus every crash
-    replay when ``spec.jobs == 1``; worker processes never ship their
-    observability home).  A campaign served whole from the on-disk
+    replays this process performs: the golden run, plus the one capture
+    pass that takes every crash when ``spec.jobs == 1`` (worker
+    processes never ship their observability home).  A campaign served whole from the on-disk
     cache performs no replays at all, so both stay empty then.
 
     ``telemetry`` (:class:`repro.obs.fleet.FleetTelemetry`) attaches the
@@ -391,13 +428,21 @@ def run_campaign(
         notify = None
 
     done = 0
+
+    def on_verdict(site: int, model: str, violations: List[dict]) -> None:
+        nonlocal done
+        done += 1
+        if notify is not None:
+            notify(done, len(jobs), _crash_info(golden, site, model, violations))
+
     if spec.jobs > 1 and len(jobs) > 1:
         from repro.experiments.transport import WorkerPool
 
-        chunks: List[List[Tuple[int, str, int]]] = [
-            jobs[i :: spec.jobs * 2] for i in range(spec.jobs * 2)
-        ]
-        chunks = [c for c in chunks if c]
+        stride = spec.jobs * 2
+        # Job indices per chunk, so replies fold back into job order.
+        owned = [list(range(i, len(jobs), stride)) for i in range(stride)]
+        owned = [indices for indices in owned if indices]
+        chunks = [[jobs[j] for j in indices] for indices in owned]
         plan = None
         if telemetry is not None:
             from repro.obs.spans import SchedulePlan
@@ -412,55 +457,24 @@ def run_campaign(
                 plan.set_cost(uid, len(chunk))
             if telemetry.aggregator.tasks_total is None:
                 telemetry.aggregator.tasks_total = len(chunks)
-        collected = []
+        verdicts: List[List[dict]] = [[] for _ in jobs]
         with WorkerPool(spec.jobs, (None, None), telemetry=telemetry) as pool:
-            for chunk in chunks:
-                pool.submit("crash", (driver_kwargs, workload, golden, chunk))
+            chunk_of = {
+                pool.submit("crash", (driver_kwargs, workload, golden, chunk)): i
+                for i, chunk in enumerate(chunks)
+            }
             while pool.outstanding:
-                _task_id, replies = pool.next_result()
-                for site, model, viols in replies:
-                    collected.append((site, model, viols))
-                    done += 1
-                    if notify is not None:
-                        notify(
-                            done,
-                            len(jobs),
-                            {
-                                "site": site,
-                                "model": model,
-                                "site_class": golden.site_class(site),
-                                "violated": bool(viols),
-                            },
-                        )
+                task_id, replies = pool.next_result()
+                for j, violations in zip(owned[chunk_of[task_id]], replies):
+                    verdicts[j] = violations
+                    on_verdict(jobs[j][0], jobs[j][1], violations)
         if plan is not None:
             telemetry.export_spans(plan, spec.jobs)
-        # Fold in deterministic order regardless of completion order.
-        for site, model, viols in sorted(collected, key=lambda r: (r[1], r[0])):
-            matrix.cells.setdefault(
-                (golden.site_class(site), model), {"injected": 0, "violated": 0}
-            )
-            cell = matrix.cells[(golden.site_class(site), model)]
-            cell["injected"] += 1
-            if viols:
-                cell["violated"] += 1
-                matrix.violations.extend(viols)
     else:
-        for site, model, fseed in jobs:
-            state, layout = driver.crash_at(site, fault_model=model, fault_seed=fseed)
-            violations = check_crash(golden, site, state, layout)
-            matrix.record(golden.site_class(site), model, violations)
-            done += 1
-            if notify is not None:
-                notify(
-                    done,
-                    len(jobs),
-                    {
-                        "site": site,
-                        "model": model,
-                        "site_class": golden.site_class(site),
-                        "violated": bool(violations),
-                    },
-                )
+        verdicts = judge_crashes(driver, golden, jobs, on_verdict)
+    # Both paths fold in job order, whatever order crashes were judged in.
+    for (site, model, _seed), violations in zip(jobs, verdicts):
+        matrix.record(golden.site_class(site), model, violations)
 
     if cache is not None and cache_key is not None:
         cache.put(cache_key, matrix.to_dict())

@@ -4,8 +4,10 @@ The fault-injection campaign needs to execute a workload *with full Atlas
 semantics* — undo logging, data-drain-before-commit ordering, per-thread
 software caches — and to do so twice over: once crash-free while
 recording every injectable site plus the ground-truth FASE bookkeeping
-(the **golden run**), then once per crash plan, stopping dead at one
-site.  :class:`AtlasReplayDriver` is that executor.
+(the **golden run**), then once more, taking the durable image at every
+targeted site as it completes (the **capture pass**, see
+:meth:`AtlasReplayDriver.crash_states`).  :class:`AtlasReplayDriver` is
+that executor.
 
 It is deliberately *not* ``Machine.run``: the stream path routes stores
 through the persistence technique only, while fault injection needs each
@@ -15,8 +17,9 @@ workload's per-thread event streams through one runtime per thread over
 a shared value-tracking machine, interleaved with the same
 smallest-cycle-first, ``SCHED_BATCH``-quantum scheduling the machine
 uses — so a replay is bit-deterministic and every replay of one
-configuration visits the identical global site sequence, which is what
-makes ``CrashPlan(at_site=k)`` meaningful.
+configuration visits the identical global site sequence.  That is what
+makes a site index meaningful across replays, and why the capture pass
+sees at site k exactly the state of a replay stopped dead at k.
 
 Address plumbing: workload allocators hand out addresses from
 ``NVRAM_BASE`` up — the same space the Atlas region manager carves log
@@ -31,14 +34,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atlas.region import RegionManager
 from repro.atlas.runtime import AtlasLayout, AtlasRuntime
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import EventKind
 from repro.common.geometry import CACHE_LINE_SIZE
-from repro.nvram.failure import CrashedState, CrashPlan, PowerFailure
+from repro.nvram.failure import CrashedState, PowerFailure
 from repro.nvram.machine import SCHED_BATCH, Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
 from repro.nvram.timing import DEFAULT_TIMING, TimingModel
@@ -148,7 +151,7 @@ class AtlasReplayDriver:
         """A fresh machine + per-thread runtimes + the data-address shift.
 
         Every replay rebuilds from scratch so state never leaks between
-        crash plans; construction is deterministic, so the region layout
+        replays; construction is deterministic, so the region layout
         — and with it the shift — is identical across replays.
         """
         machine = Machine(
@@ -297,6 +300,53 @@ class AtlasReplayDriver:
         golden.final_nvram = machine.memory.nvram_snapshot()
         return golden
 
+    def crash_states(
+        self,
+        jobs: Sequence[Tuple[int, str, int]],
+        sink: Callable[[int, CrashedState, AtlasLayout], None],
+    ) -> None:
+        """Capture every ``(site, fault_model, fault_seed)`` crash of
+        ``jobs`` in one replay.
+
+        ``sink(i, state, layout)`` receives the (fault-mutated) durable
+        image of ``jobs[i]`` and the layout recovery needs, as the site
+        completes: in site order, jobs at one site in ``jobs`` order.
+        The replay stops after the last target site.  Each state equals
+        what a replay stopped dead at its site leaves, because the replay
+        is deterministic and taking a crash state does not touch the
+        machine.  Raises :class:`~repro.common.errors.SimulationError`
+        naming the sites that never fired (indices out of this
+        configuration's range).
+        """
+        if not jobs:
+            return
+        by_site: Dict[int, List[int]] = {}
+        for i, (site, _model, _seed) in enumerate(jobs):
+            by_site.setdefault(site, []).append(i)
+        targets = {
+            site: [(jobs[i][1], jobs[i][2]) for i in indices]
+            for site, indices in by_site.items()
+        }
+        machine, runtimes, shift = self._build()
+        layout = runtimes[0].layout()
+        # The machine hands over a site's states in its list order, so a
+        # per-site cursor recovers each state's job index.
+        cursors = {site: iter(indices) for site, indices in by_site.items()}
+
+        def capture(state: CrashedState) -> None:
+            sink(next(cursors[state.at_site]), state, layout)
+
+        machine.arm_capture(targets, capture)
+        try:
+            self._replay(machine, runtimes, shift, golden=None)
+        except PowerFailure:
+            return
+        missing = sorted(site for site in targets if site >= machine.sites_seen)
+        raise SimulationError(
+            f"crash sites {missing} never fired (run has "
+            f"{machine.sites_seen} sites)"
+        )
+
     def crash_at(
         self,
         site: int,
@@ -306,20 +356,13 @@ class AtlasReplayDriver:
         """Replay until site ``site`` completes, then fail the power.
 
         Returns the (fault-mutated) durable image and the layout recovery
-        needs.  Raises :class:`~repro.common.errors.SimulationError` if
-        the site never fires (index out of this configuration's range).
+        needs: the one-job case of :meth:`crash_states`, which raises
+        :class:`~repro.common.errors.SimulationError` if the site never
+        fires.
         """
-        machine, runtimes, shift = self._build()
-        machine.arm_crash_plan(
-            CrashPlan(at_site=site, fault_model=fault_model, fault_seed=fault_seed)
+        out: List[Tuple[CrashedState, AtlasLayout]] = []
+        self.crash_states(
+            [(site, fault_model, fault_seed)],
+            lambda _i, state, layout: out.append((state, layout)),
         )
-        try:
-            self._replay(machine, runtimes, shift, golden=None)
-        except PowerFailure:
-            pass
-        state = machine.crashed_state
-        if state is None:
-            raise SimulationError(
-                f"crash site {site} never fired (run has fewer sites)"
-            )
-        return state, runtimes[0].layout()
+        return out[0]

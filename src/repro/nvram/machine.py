@@ -328,12 +328,18 @@ class Machine:
         self.crashed_state: Optional[CrashedState] = None
         # Crash-site machinery (repro.faults).  ``_sites_active`` gates
         # every site hook with one attribute load, so runs that neither
-        # enumerate sites nor carry an at_site plan pay nothing.
+        # enumerate sites nor capture crashed states pay nothing.
         self._sites_active = False
         self._sites_seen = 0
         self._site_log: Optional[List[Tuple[int, str, int, int]]] = None
+        # Capture table: site -> [(fault_model, fault_seed), ...]; each
+        # entry's crashed state goes to ``_capture_sink`` as the site
+        # completes, and the run stops after ``_capture_last``.
+        self._capture: Optional[Dict[int, List[Tuple[str, int]]]] = None
+        self._capture_sink: Optional[Callable[[CrashedState], None]] = None
+        self._capture_last = -1
         # In-flight hardware eviction write-backs, recorded only when a
-        # reordered_flush plan is armed: (ctx, line, {addr: old durable}).
+        # reordered_flush crash is armed: (ctx, line, {addr: old durable}).
         self._record_inflight = False
         self._fault_inflight: List[Tuple[object, int, Dict[int, object]]] = []
 
@@ -368,32 +374,73 @@ class Machine:
 
         ``Machine.run`` arms its ``crash_plan`` argument through here;
         imperative drivers (sessions / the Atlas runtime) call it
-        directly before pushing operations.  A site-triggered crash
-        raises :class:`~repro.nvram.failure.PowerFailure` out of the
-        operation that completed the site, with ``crashed_state``
-        already populated.
+        directly before pushing operations.  A site-triggered crash is
+        the one-entry case of :meth:`arm_capture`: it raises
+        :class:`~repro.nvram.failure.PowerFailure` out of the operation
+        that completed the site, with ``crashed_state`` already
+        populated.
         """
         self._crash_plan = plan
         if plan is None:
             return
         if plan.at_site is not None:
-            self._sites_active = True
-        if plan.fault_model == FAULT_REORDERED_FLUSH:
+            self.arm_capture(
+                {plan.at_site: [(plan.fault_model, plan.fault_seed)]},
+                self._keep_crashed_state,
+            )
+        elif plan.fault_model == FAULT_REORDERED_FLUSH:
             self._record_inflight = True
 
+    def arm_capture(
+        self,
+        targets: Dict[int, List[Tuple[str, int]]],
+        sink: Callable[[CrashedState], None],
+    ) -> None:
+        """Capture the crashed state at many sites of one run.
+
+        ``targets`` maps a site index to the ``(fault_model,
+        fault_seed)`` crashes to take there.  As each target site
+        completes, ``sink`` receives one :class:`CrashedState` per
+        entry, in list order; execution then continues, exactly as if
+        no crash had been taken, until the last target site, where
+        :class:`~repro.nvram.failure.PowerFailure` stops the run.  A
+        replay is deterministic, so each state equals what a run
+        crashed at that one site would leave.  ``crashed_state`` is not
+        set; the sink owns every state it is given.
+        """
+        self._capture = {site: list(wanted) for site, wanted in targets.items()}
+        self._capture_sink = sink
+        self._capture_last = max(self._capture, default=-1)
+        self._sites_active = True
+        # In-flight bookkeeping only; it changes no modelled counter.
+        if any(
+            model == FAULT_REORDERED_FLUSH
+            for wanted in self._capture.values()
+            for model, _seed in wanted
+        ):
+            self._record_inflight = True
+
+    def _keep_crashed_state(self, state: CrashedState) -> None:
+        self.crashed_state = state
+
     def _note_site(self, ctx: "_ThreadContext", site_class: str) -> None:
-        """One injectable site just completed; crash here if scheduled."""
+        """One injectable site just completed; capture crashes here."""
         idx = self._sites_seen
         self._sites_seen = idx + 1
         log = self._site_log
         if log is not None:
             log.append((idx, site_class, ctx.thread_id, ctx.stats.cycles))
-        plan = self._crash_plan
-        if plan is not None and plan.at_site == idx:
-            self._crash(site=idx, site_class=site_class)
-            raise PowerFailure(
-                f"scheduled power failure at site {idx} ({site_class})"
-            )
+        capture = self._capture
+        if capture is not None:
+            wanted = capture.get(idx)
+            if wanted is not None:
+                sink = self._capture_sink
+                for model, seed in wanted:
+                    sink(self._crashed_state(model, seed, idx, site_class))
+                if idx == self._capture_last:
+                    raise PowerFailure(
+                        f"scheduled power failure at site {idx} ({site_class})"
+                    )
 
     def _note_evict_inflight(
         self, ctx: "_ThreadContext", line: int, values: Dict[int, object]
@@ -931,24 +978,35 @@ class Machine:
         m.inc(f"fase_count/{key}", s.fase_count)
         m.set_gauge(f"cycles/{key}", s.cycles)
 
-    def _crash(
-        self, site: Optional[int] = None, site_class: Optional[str] = None
-    ) -> None:
+    def _crash(self) -> None:
+        """Fail the power now under the armed plan's fault model."""
+        plan = self._crash_plan
+        if plan is None:
+            self.crashed_state = self._crashed_state(FAULT_CLEAN, 0)
+        else:
+            self.crashed_state = self._crashed_state(
+                plan.fault_model, plan.fault_seed
+            )
+
+    def _crashed_state(
+        self,
+        model: str,
+        seed: int,
+        site: Optional[int] = None,
+        site_class: Optional[str] = None,
+    ) -> CrashedState:
+        """The durable image a power failure now would leave, after
+        ``model`` mutates it with ``seed``.  Pure: the machine is not
+        touched, so the run can continue past the crash point."""
         image = self.memory.nvram_snapshot()
         dirty = self.hwcache.dirty_lines()
-        plan = self._crash_plan
-        model = plan.fault_model if plan is not None else FAULT_CLEAN
         torn: List[int] = []
         dropped = 0
         if model == FAULT_TORN_LINE:
-            torn = apply_torn_lines(
-                image, dirty, self.hwcache.values, plan.fault_seed
-            )
+            torn = apply_torn_lines(image, dirty, self.hwcache.values, seed)
         elif model == FAULT_REORDERED_FLUSH:
-            dropped = apply_reordered_flushes(
-                image, self._fault_inflight, plan.fault_seed
-            )
-        self.crashed_state = CrashedState(
+            dropped = apply_reordered_flushes(image, self._fault_inflight, seed)
+        return CrashedState(
             nvram=image,
             lost_lines=dirty,
             at_store=self._stores_seen,

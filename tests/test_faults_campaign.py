@@ -30,6 +30,7 @@ from repro.faults import (
 from repro.nvram.failure import FAULT_MODELS, SITE_CLASSES
 from repro.nvram.memory import NVRAM_BASE
 from repro.workloads.base import Workload
+from repro.workloads.hashtable import HashTableWorkload
 from repro.workloads.linkedlist import LinkedListWorkload
 
 PA = NVRAM_BASE
@@ -293,6 +294,30 @@ def test_parallel_campaign_matches_sequential():
     assert par.to_dict() == seq.to_dict()
 
 
+def test_parallel_and_sequential_fold_violations_in_job_order():
+    """Both paths fold verdicts in job order (fault model, then site), so
+    a campaign with violations serializes identically at any ``jobs``
+    (the result cache key ignores ``jobs`` and serves either)."""
+    spec = dict(fault_models=FAULT_MODELS, max_sites=40)
+    kwargs = dict(scale=0.01, commit_before_drain=True)
+    judged = []
+    seq = run_campaign(
+        "linked-list",
+        spec=FaultCampaignSpec(**spec),
+        progress=lambda done, total: judged.append(done),
+        **kwargs,
+    )
+    par = run_campaign(
+        "linked-list", spec=FaultCampaignSpec(jobs=2, **spec), **kwargs
+    )
+    assert not seq.ok
+    assert len({v["fault_model"] for v in seq.violations}) > 1
+    order = [FAULT_MODELS.index(v["fault_model"]) for v in seq.violations]
+    assert order == sorted(order)
+    assert par.to_dict() == seq.to_dict()
+    assert judged == list(range(1, seq.injected + 1))
+
+
 def test_campaign_result_caches(tmp_path):
     kwargs = dict(
         technique="SC",
@@ -327,6 +352,106 @@ def test_crash_at_unreachable_site_errors():
     golden = driver.golden()
     with pytest.raises(SimulationError):
         driver.crash_at(len(golden.sites) + 10)
+
+
+# ---------------------------------------------------------------------------
+# One capture pass == one replay per crash
+# ---------------------------------------------------------------------------
+
+
+def _cleaning_program():
+    """One thread whose long, work-padded FASEs leave the flush queue
+    idle with buffered lines at quantum boundaries, so ``clean:2``
+    actually issues background clean flushes (``evict_flush`` sites)."""
+    events = []
+    for fase in range(3):
+        events.append(FaseBegin())
+        for k in range(36):
+            events.append(Store(PA + 64 * ((7 * k + fase) % 23), 8, 100 * fase + k))
+            events.append(Work(200))
+        events.append(FaseEnd())
+    return ListWorkload(events)
+
+
+_CAPTURE_FIELDS = (
+    "nvram",
+    "lost_lines",
+    "at_store",
+    "site_class",
+    "torn_lines",
+    "dropped_writebacks",
+    "at_site",
+    "fault_model",
+)
+
+
+@pytest.mark.parametrize(
+    "workload, technique, threads, l1_lines",
+    [
+        (LinkedListWorkload(elements=12), "SC", 2, 512),
+        (HashTableWorkload(elements=16), "SC+clean:2+victim:4", 1, 512),
+        (_cleaning_program(), "SC+clean:2+victim:4", 1, 512),
+        # A 2-line L1 gives reordered_flush in-flight write-backs to drop.
+        (LinkedListWorkload(elements=12), "SC", 1, 2),
+    ],
+    ids=["linked-list-T2-SC", "hash-clean-victim", "clean-flushes", "tiny-l1"],
+)
+def test_capture_pass_matches_per_site_replays(
+    workload, technique, threads, l1_lines
+):
+    """Every (site, fault model) state one capture pass takes equals, field
+    for field, the state of a replay stopped dead at that one site."""
+    driver = AtlasReplayDriver(
+        workload,
+        technique=technique,
+        num_threads=threads,
+        l1_capacity_lines=l1_lines,
+        l1_ways=min(8, l1_lines // 2),
+    )
+    golden = driver.golden()
+    if isinstance(workload, ListWorkload):
+        assert any(s[1] == "evict_flush" for s in golden.sites)
+    # Model-major, like a campaign's jobs: one site's models are spread
+    # over the job list, so the per-site job order is exercised too.
+    jobs = [
+        (site, model, site)
+        for model in FAULT_MODELS
+        for site in range(len(golden.sites))
+    ]
+    captured = {}
+
+    def sink(i, state, layout):
+        assert i not in captured
+        assert [(r.base, r.size) for r in layout.log_regions] == [
+            (r.base, r.size) for r in golden.layout.log_regions
+        ]
+        captured[i] = state
+
+    driver.crash_states(jobs, sink)
+    assert sorted(captured) == list(range(len(jobs)))
+    for i, (site, model, seed) in enumerate(jobs):
+        alone, _layout = driver.crash_at(site, fault_model=model, fault_seed=seed)
+        for name in _CAPTURE_FIELDS:
+            assert getattr(captured[i], name) == getattr(alone, name), (
+                site,
+                model,
+                name,
+            )
+    if l1_lines == 2:
+        assert any(state.dropped_writebacks for state in captured.values())
+
+
+def test_crash_states_names_unreachable_sites():
+    driver = AtlasReplayDriver(ListWorkload([FaseBegin(), Store(PA, 8, 1), FaseEnd()]))
+    golden = driver.golden()
+    beyond = len(golden.sites) + 10
+    judged = []
+    with pytest.raises(SimulationError, match=rf"\[{beyond}\]"):
+        driver.crash_states(
+            [(0, "clean", 0), (beyond, "clean", 0)],
+            lambda i, state, layout: judged.append(i),
+        )
+    assert judged == [0]  # reachable sites are still captured
 
 
 def test_spec_validation():
