@@ -20,7 +20,7 @@ BUDGET = 60_000
 
 def run(workload, technique, **kw):
     machine = Machine(MachineConfig())
-    return machine.run(workload, technique_factory(technique, **kw), 1, seed=1)
+    return machine.run(workload, technique_factory(technique, **kw), num_threads=1, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +186,9 @@ def test_ablation_shared_group_adaptation(harness, once):
 
 def run_threads(workload, technique, threads, **kw):
     machine = Machine(MachineConfig())
-    return machine.run(workload, technique_factory(technique, **kw), threads, seed=1)
+    return machine.run(
+        workload, technique_factory(technique, **kw), num_threads=threads, seed=1
+    )
 
 
 def test_ablation_mrc_method_spectrum(harness, once):

@@ -12,7 +12,7 @@ hand-wiring ``Machine`` + ``technique_factory`` + ``AdaptiveController``::
     matrix = api.campaign(spec, api.FaultSpec(max_sites=256))
 
 ``run`` delegates to the experiments harness, so a spec-driven run is
-bit-identical to the legacy hand-wired path (enforced by an equivalence
+bit-identical to a hand-wired ``Machine`` run (enforced by an equivalence
 test) and participates in the same profiling, memoization and on-disk
 result cache.  ``campaign`` drives :func:`repro.faults.run_campaign`
 with the spec's machine knobs, so runs and their crash campaigns always

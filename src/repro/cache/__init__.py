@@ -29,7 +29,6 @@ from repro.cache.policies import (
     SoftwareCacheTechnique,
     BestTechnique,
     TECHNIQUES,
-    make_factory,
 )
 from repro.cache.spec import (
     STAGES,
@@ -53,7 +52,6 @@ __all__ = [
     "SoftwareCacheTechnique",
     "BestTechnique",
     "TECHNIQUES",
-    "make_factory",
     "STAGES",
     "TechniqueSpec",
     "StagedTechnique",

@@ -15,7 +15,6 @@ algorithm *is* linear; that is the point of §III-B).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,23 +64,7 @@ class AdaptiveController:
 
     __slots__ = ("config", "sampler", "last_mrc", "last_size", "analyses", "port")
 
-    def __init__(self, *args, config: Optional[AdaptiveConfig] = None) -> None:
-        if args:
-            # Positional ``AdaptiveController(cfg)`` predates the
-            # keyword-only API; accepted for one release.
-            if len(args) > 1:
-                raise TypeError(
-                    f"AdaptiveController() takes at most one config, got "
-                    f"{len(args)} positional arguments"
-                )
-            warnings.warn(
-                "passing config positionally to AdaptiveController is "
-                "deprecated; use AdaptiveController(config=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if config is None:
-                config = args[0]
+    def __init__(self, *, config: Optional[AdaptiveConfig] = None) -> None:
         self.config = config or AdaptiveConfig()
         self.sampler = BurstSampler(
             self.config.burst_length,

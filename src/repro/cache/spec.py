@@ -285,11 +285,11 @@ def technique_factory(
 ) -> Callable[[int], PersistenceTechnique]:
     """Build a per-thread technique factory from a spec (the one path).
 
-    Accepts a spec string or :class:`TechniqueSpec`; keyword context
-    mirrors the legacy ``make_factory`` knobs (they configure the *base*
-    technique).  Specs whose stages are all no-ops (``SC+victim:0``,
-    zero-budget ``clean``) return the bare base factory, so their
-    results are bit-identical to the un-staged spec.
+    Accepts a spec string or :class:`TechniqueSpec`; the keyword
+    context configures the *base* technique.  Specs whose stages are
+    all no-ops (``SC+victim:0``, zero-budget ``clean``) return the bare
+    base factory, so their results are bit-identical to the un-staged
+    spec.
     """
     parsed = TechniqueSpec.parse(spec)
     base_factory = _base_factory(

@@ -161,39 +161,6 @@ class EventBatch:
     def __repr__(self) -> str:
         return f"EventBatch(len={len(self.kinds)})"
 
-    # -- construction from existing columns -------------------------------
-
-    #: ``array`` typecodes of the three columns, in slot order.  The
-    #: shared-memory transport (``repro.experiments.transport``) ships
-    #: batches as raw column bytes plus these typecodes and rebuilds them
-    #: with :meth:`from_columns`; every batch a workload can produce must
-    #: use exactly these dtypes.
-    COLUMN_TYPECODES = ("b", "q", "q")
-
-    @classmethod
-    def from_columns(cls, kinds, args, sizes) -> "EventBatch":
-        """Adopt three existing parallel columns without copying.
-
-        The columns may be ``array`` objects (the native encoding) or any
-        integer sequences with the same values (e.g. buffers rebuilt from
-        a shared-memory segment).  Lengths must agree; the batch takes
-        ownership — callers must not mutate the columns afterwards.
-        """
-        if not (len(kinds) == len(args) == len(sizes)):
-            raise ValueError(
-                f"column lengths disagree: kinds={len(kinds)} "
-                f"args={len(args)} sizes={len(sizes)}"
-            )
-        batch = cls.__new__(cls)
-        batch.kinds = kinds
-        batch.args = args
-        batch.sizes = sizes
-        return batch
-
-    def columns(self):
-        """The three parallel columns, in :data:`COLUMN_TYPECODES` order."""
-        return (self.kinds, self.args, self.sizes)
-
     # -- building --------------------------------------------------------
 
     def append_store(self, addr: int, size: int = 8) -> None:

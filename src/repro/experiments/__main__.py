@@ -813,10 +813,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.artifact == "history":
         return _run_history(args)
-    if args.artifact == "profile":
-        return _run_profile(args)
-    if args.artifact == "tracediff":
-        return _run_tracediff(args)
+    if args.artifact in ("profile", "tracediff"):
+        run_trace_artifact = (
+            _run_profile if args.artifact == "profile" else _run_tracediff
+        )
+        try:
+            return run_trace_artifact(args)
+        except ConfigurationError as exc:
+            # An unreadable trace (e.g. not schema 3) names the line and
+            # the fix; exit 2 like ``monitor --follow`` does.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.artifact == "crashmatrix":
         rc = _run_crashmatrix(args)
         print(f"\n[{time.time() - start:.1f}s]", file=sys.stderr)

@@ -528,76 +528,6 @@ def bench_fleet_overhead(scale: float, jobs: int, reps: int) -> Dict:
     }
 
 
-#: Sharded bench: one large single run split across workers.
-SHARDED_SCALE = 1.0
-SHARDED_WORKLOAD = "water-spatial"
-SHARDED_TECHNIQUE = "ER"
-SHARDED_THREADS = 2
-
-
-def bench_sharded(scale: float, jobs: int) -> Dict:
-    """Within-run scaling: one simulation sharded across workers.
-
-    Wall clock of one large run executed unsharded on one core vs split
-    into ``jobs`` spatial-hash shards simulated concurrently
-    (:func:`repro.experiments.parallel.run_sharded_parallel`), plus the
-    exactness check — ER's merged counters must equal the unsharded
-    machine's bit for bit.  Informational (never gated): like the
-    harness fan-out, the speedup needs real cores.
-    """
-    from repro.experiments.parallel import run_sharded_parallel
-
-    workload = BatchCachingWorkload(get_workload(SHARDED_WORKLOAD, scale=scale))
-    config = HarnessConfig(scale=scale, seed=BENCH_SEED).machine_config()
-    # Materialize batch columns first so both timings are core-loop time.
-    workload.batch_streams(SHARDED_THREADS, BENCH_SEED)
-
-    start = time.perf_counter()
-    unsharded = Machine(config).run(
-        workload,
-        technique_factory(SHARDED_TECHNIQUE),
-        num_threads=SHARDED_THREADS,
-        seed=BENCH_SEED,
-    )
-    unsharded_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sharded = run_sharded_parallel(
-        config,
-        workload,
-        SHARDED_TECHNIQUE,
-        jobs,
-        num_threads=SHARDED_THREADS,
-        seed=BENCH_SEED,
-        num_shards=jobs,
-    )
-    sharded_s = time.perf_counter() - start
-
-    merged = sharded.merged
-    counters_identical = (
-        merged.persistent_stores == unsharded.persistent_stores
-        and merged.instructions == unsharded.instructions
-        and merged.flushes == unsharded.flushes
-        and merged.fase_count == unsharded.fase_count
-    )
-    available = cpus_available()
-    return {
-        "workload": SHARDED_WORKLOAD,
-        "technique": SHARDED_TECHNIQUE,
-        "threads": SHARDED_THREADS,
-        "shards": jobs,
-        "jobs": jobs,
-        "cpus_available": available,
-        "advisory": available < jobs,
-        "events": unsharded.instructions + unsharded.persistent_stores,
-        "cross_shard_spans": sharded.split_stats["cross_shard_spans"],
-        "unsharded_s": round(unsharded_s, 2),
-        "sharded_s": round(sharded_s, 2),
-        "sharded_speedup": round(unsharded_s / sharded_s, 2),
-        "counters_identical": counters_identical,
-    }
-
-
 #: Ledger bench: one pinned run timed with provenance recording off and
 #: on.  ER on ``queue`` — cheap enough that the fixed per-run append
 #: cost would show if it ever grew, which is the point.
@@ -673,7 +603,6 @@ def run_suite(
     analyzer_events = 20_000 if quick else ANALYZER_EVENTS
     stream_scale = 0.05 if quick else STREAM_SCALE
     zoo_scale = 0.05 if quick else POLICY_ZOO_SCALE
-    sharded_scale = 0.1 if quick else SHARDED_SCALE
     fleet_scale = 0.05 if quick else FLEET_SCALE
     ledger_scale = 0.05 if quick else LEDGER_SCALE
     return {
@@ -698,7 +627,6 @@ def run_suite(
         "streaming_recorder": bench_streaming_recorder(stream_scale, reps),
         "policy_zoo": bench_policy_zoo(zoo_scale, reps),
         "harness": bench_harness(harness_scale, jobs),
-        "sharded": bench_sharded(sharded_scale, jobs),
         "fleet_overhead": bench_fleet_overhead(fleet_scale, jobs, reps),
         "ledger": bench_ledger(ledger_scale, reps),
     }

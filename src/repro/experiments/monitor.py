@@ -48,13 +48,7 @@ from repro.obs.live import (
     default_rules,
     parse_rule,
 )
-from repro.obs.trace import (
-    LEGACY_ARG_NAMES,
-    TRACE_META_KIND,
-    TRACE_SCHEMA_VERSION,
-    V1_ARG_DEFAULTS,
-)
-from repro.obs.trace import _ARG_COLUMNS as ARG_COLUMNS
+from repro.obs.trace import TraceLineDecoder
 
 #: How many recent rows (cells or windows) the dashboard shows.
 DASHBOARD_ROWS = 10
@@ -234,7 +228,7 @@ class _LineTailer:
         if self._fh is None:
             self._fh = open(self.path, "r", encoding="utf-8")
             self._ino = st.st_ino
-            self._buf = ""
+            self._restart()
             return
         if st.st_ino != self._ino or st.st_size < self._fh.tell():
             # Rotated to a new inode, or truncated in place: restart
@@ -242,7 +236,13 @@ class _LineTailer:
             self._fh.close()
             self._fh = open(self.path, "r", encoding="utf-8")
             self._ino = os.fstat(self._fh.fileno()).st_ino
-            self._buf = ""
+            self._restart()
+
+    def _restart(self) -> None:
+        """A new file sits at the path: drop the old one's partial line
+        and count error-message line numbers from its top."""
+        self._buf = ""
+        self.lines = 0
 
     def poll(self) -> int:
         """Consume everything newly readable; return events ingested."""
@@ -280,44 +280,28 @@ class TraceTailer(_LineTailer):
     """Incrementally parse a JSONL trace file that may still be written.
 
     Feeds complete lines into the profile as they appear, holding back
-    a trailing partial line until its newline arrives.  Unknown event
-    kinds are a hard error (same contract as
-    :func:`repro.obs.trace.parse_jsonl`); renamed schema-2 fields read
-    back through :data:`~repro.obs.trace.LEGACY_ARG_NAMES`, and fields
-    absent from a schema-1 file decode to their documented defaults.
+    a trailing partial line until its newline arrives.  Lines decode
+    through :class:`repro.obs.trace.TraceLineDecoder`, the decoder
+    :func:`repro.obs.trace.parse_jsonl` uses, so a trace the offline
+    ``profile`` rejects (no schema-3 header, unknown kind) is rejected
+    here too.
     """
 
     def __init__(self, path: str, profile: StreamingProfile) -> None:
         super().__init__(path)
         self.profile = profile
-        self.schema = TRACE_SCHEMA_VERSION
+        self.decoder = TraceLineDecoder(path)
+
+    def _restart(self) -> None:
+        # A rotated-in file is a new document: it needs its own header.
+        super()._restart()
+        self.decoder = TraceLineDecoder(self.path)
 
     def _ingest(self, line: str) -> bool:
-        try:
-            doc = json.loads(line)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{self.path} line {self.lines}: not JSON ({exc})"
-            ) from None
-        kind = doc.get("kind")
-        if kind == TRACE_META_KIND:
-            self.schema = int(doc.get("schema", TRACE_SCHEMA_VERSION))
+        event = self.decoder.decode(line, self.lines)
+        if event is None:
             return False
-        if kind not in ARG_COLUMNS:
-            raise ConfigurationError(
-                f"{self.path} line {self.lines}: unknown event kind {kind!r}"
-            )
-        cols = [0, 0, 0]
-        for name, idx in ARG_COLUMNS[kind].items():
-            if name in doc:
-                cols[idx] = doc[name]
-                continue
-            legacy = LEGACY_ARG_NAMES.get((kind, name))
-            if legacy is not None and legacy in doc:
-                cols[idx] = doc[legacy]
-            else:
-                cols[idx] = V1_ARG_DEFAULTS.get((kind, name), 0)
-        self.profile.record(kind, doc["tid"], doc["ts"], cols[0], cols[1], cols[2])
+        self.profile.record(*event)
         self.events += 1
         return True
 
@@ -428,7 +412,7 @@ def monitor_follow(
     finally:
         tailer.close()
 
-    final = profile.finalize(schema=tailer.schema)
+    final = profile.finalize()
     engine.observe_diagnoses(final.diagnoses, source=path)
     if not once:
         render(force=True)

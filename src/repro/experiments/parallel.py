@@ -1,4 +1,4 @@
-"""Process-parallel execution of experiment grids and sharded runs.
+"""Process-parallel execution of experiment grids.
 
 The harness's unit of work — one ``(workload, technique, threads)`` cell
 under a frozen :class:`HarnessConfig` — is a pure, deterministic
@@ -21,17 +21,12 @@ with fork-once workers over a shared work queue
   them* wait; everything else starts immediately, and a group blocked on
   a summary is released the moment that summary lands.
 - **Shared-memory transport.**  Small control tuples cross the queues;
-  bulk event data (recorded profile traces, shard batch columns) crosses
-  as ``multiprocessing.shared_memory`` manifests
+  bulk event data (recorded profile traces) crosses as
+  ``multiprocessing.shared_memory`` manifests
   (:mod:`repro.experiments.transport`) — no pickling of event data.
   Profile traces shipped back this way let the parent adopt the worker's
   profiling run, making trace-consuming artifacts (figure2/figure7) free
   after an ``--artifact all`` sweep.
-
-The same pool executes **sharded single runs**: one large simulation is
-split across workers by spatially hashing its line space
-(:mod:`repro.nvram.sharded`), each worker simulating one shard machine
-and the parent merging per-shard results at the final drain barrier.
 """
 
 from __future__ import annotations
@@ -48,9 +43,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.transport import (
     WorkerPool,
-    attach_batches,
     attach_traces,
-    share_batches,
     share_traces,
     unlink_segment,
 )
@@ -81,8 +74,6 @@ def describe_task(kind: str, payload) -> str:
             cells = payload[1]
             name, _technique, threads = cells[0]
             return f"{name}/t{threads}×{len(cells)}"
-        if kind == "shard":
-            return f"shard:{payload[0]}"
         if kind == "crash":
             workload, chunk = payload[1], payload[3]
             return f"crash:{getattr(workload, 'name', '?')}×{len(chunk)}"
@@ -100,7 +91,7 @@ def make_task_handlers(
 
     Called exactly once per worker process by the pool's worker loop.
     The harness is created lazily on the first harness-needing task (a
-    pool running only ``"shard"`` tasks never builds one) and then kept
+    pool running only ``"crash"`` tasks never builds one) and then kept
     for the worker's lifetime — the fork-once discipline that lets batch
     materializations amortize across every task the worker pulls.
 
@@ -150,16 +141,6 @@ def make_task_handlers(
         harness.preload_summaries(summaries)
         return [(cell, harness.run(*cell).to_dict()) for cell in cells]
 
-    def handle_shard(payload) -> Dict:
-        """One shard of a sharded run; batches arrive via shared memory."""
-        from repro.cache.spec import technique_factory
-        from repro.nvram.sharded import run_one_shard
-
-        name, technique, factory_kwargs, manifest, shard_config, seed = payload
-        batches = attach_batches(manifest)
-        factory = technique_factory(technique, **factory_kwargs)
-        return run_one_shard(shard_config, name, factory, batches, seed).to_dict()
-
     def handle_crash(payload) -> List[List[Dict]]:
         """One crash-campaign chunk; the driver caches in worker state."""
         from repro.faults.campaign import execute_crash_chunk
@@ -169,7 +150,6 @@ def make_task_handlers(
     return {
         "summary": handle_summary,
         "cells": handle_cells,
-        "shard": handle_shard,
         "crash": handle_crash,
     }
 
@@ -337,83 +317,6 @@ def run_grid_parallel(
         telemetry.export_spans(plan, jobs)
     record_grid(harness, results, jobs=jobs, wall_s=time.monotonic() - started)
     return results
-
-
-# ---------------------------------------------------------------------------
-# Sharded single-run execution
-# ---------------------------------------------------------------------------
-
-
-def run_sharded_parallel(
-    config,
-    workload,
-    technique: str,
-    jobs: int,
-    *,
-    num_threads: int = 1,
-    seed: int = 0,
-    num_shards: Optional[int] = None,
-    barrier_every: Optional[int] = None,
-    factory_kwargs: Optional[Dict] = None,
-):
-    """Scale *within* one run: shards of one simulation across workers.
-
-    Splits ``workload``'s line space into ``num_shards`` (default
-    ``jobs``) substreams with the SHARDS spatial hash, ships each
-    shard's batch columns to a worker through shared memory, simulates
-    the shard machines concurrently and merges their results at the
-    final drain barrier (:func:`repro.nvram.sharded.merge_shard_results`).
-    Returns the same :class:`~repro.nvram.sharded.ShardedRun` the
-    sequential reference (:func:`repro.nvram.sharded.run_sharded`)
-    returns, bit-identically — shard execution is deterministic and
-    merge order is shard order regardless of completion order.
-
-    ``technique`` is a technique spec string (see
-    ``repro.cache.spec.TechniqueSpec``); ``factory_kwargs`` the base
-    technique's keyword context (e.g. ``sc_fixed_size``).
-    """
-    from repro.nvram.sharded import (
-        DEFAULT_BARRIER_EVERY,
-        ShardedRun,
-        merge_shard_results,
-        shard_machine_config,
-        split_workload,
-    )
-
-    if num_shards is None:
-        num_shards = max(1, jobs)
-    if barrier_every is None:
-        barrier_every = DEFAULT_BARRIER_EVERY
-    per_shard, stats = split_workload(
-        workload, num_threads, seed, num_shards, barrier_every
-    )
-    shard_config = shard_machine_config(config, num_shards)
-    name = getattr(workload, "name", "sharded")
-    kwargs = dict(factory_kwargs or {})
-    manifests = [share_batches(per_shard[s]) for s in range(num_shards)]
-    docs: List[Optional[Dict]] = [None] * num_shards
-    try:
-        with WorkerPool(min(jobs, num_shards), (None, None)) as pool:
-            shard_of_task = {
-                pool.submit(
-                    "shard",
-                    (name, technique, kwargs, manifests[s], shard_config, seed),
-                ): s
-                for s in range(num_shards)
-            }
-            while pool.outstanding:
-                task_id, doc = pool.next_result()
-                docs[shard_of_task[task_id]] = doc
-    finally:
-        for manifest in manifests:
-            unlink_segment(manifest)
-    shards = [RunResult.from_dict(doc) for doc in docs]
-    return ShardedRun(
-        merged=merge_shard_results(shards),
-        shards=shards,
-        split_stats=stats,
-        num_shards=num_shards,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -44,21 +44,6 @@ def _spatial_hash(lines: np.ndarray) -> np.ndarray:
     return (x % np.uint64(_HASH_SPACE)).astype(np.int64)
 
 
-def shard_of_lines(lines: np.ndarray, num_shards: int) -> np.ndarray:
-    """Deterministic shard assignment of cache-line ids (vectorised).
-
-    The same mixing hash SHARDS samples with, reduced modulo
-    ``num_shards``: all-or-none per line, uniform across shards, stable
-    across runs and processes.  This is the partitioning function of the
-    sharded executor (:mod:`repro.nvram.sharded`): every access to a
-    line lands in the same shard, so per-line technique state never
-    straddles shard machines.
-    """
-    if num_shards < 1:
-        raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-    return _spatial_hash(np.asarray(lines, dtype=np.int64)) % num_shards
-
-
 def shards_filter(trace: WriteTrace, rate: float) -> WriteTrace:
     """Keep only the accesses whose *line* is sampled at ``rate``.
 

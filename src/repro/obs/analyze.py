@@ -130,7 +130,7 @@ class FlushProvenance:
     top_lines: List[Tuple[int, int]] = field(default_factory=list)
     #: thread id -> {capacity, resize, fase_drains, drain_stall}.
     per_thread: Dict[int, Dict[str, int]] = field(default_factory=dict)
-    #: FASE uid -> commit-drain stall cycles (schema-2 traces only).
+    #: FASE uid -> commit-drain stall cycles.
     fase_drain_stall_by_fase: Dict[int, int] = field(default_factory=dict)
 
     @property
@@ -201,7 +201,7 @@ class FaseLatencyProfile:
     max: int = 0
     total_cycles: int = 0
     #: Commit-drain stall cycles attributed to a FASE via the drain's
-    #: ``fase_id`` (schema 2; zero on schema-1 traces).
+    #: ``fase_id``.
     drain_stall_cycles: int = 0
     per_thread_count: Dict[int, int] = field(default_factory=dict)
 
@@ -642,9 +642,7 @@ def analyze(
 
     Walks the recorder's parallel arrays directly (no per-event tuple
     per event); cost is linear in the trace and independent of the
-    model's size.  Works on schema-1 traces too — the reader already
-    filled the missing ``c`` columns with their defaults, so resize
-    provenance and per-FASE drain attribution simply come out empty.
+    model's size.
     """
     fold = ProfileFold(config)
     fold.feed_columns(*trace.columns())
@@ -756,8 +754,8 @@ def diff_profiles(
     ``bench_compare`` idiom: verdict ``"ok"`` when every compared metric
     is within tolerance, ``"different"`` otherwise, ``"incomparable"``
     when the runs cannot be meaningfully aligned (different thread
-    sets).  Notes call out structural differences (schema versions,
-    diverging trajectories) that tolerances do not cover.
+    sets).  Notes call out structural differences (diverging
+    trajectories) that tolerances do not cover.
     """
     tol = tolerances or DiffTolerances()
     notes: List[str] = []
@@ -770,11 +768,6 @@ def diff_profiles(
                 f"not the same experiment"
             ],
         }
-    if a.schema != b.schema:
-        notes.append(
-            f"trace schemas differ ({a.schema} vs {b.schema}); "
-            f"schema-2-only provenance is empty on the older side"
-        )
 
     entries: List[Dict] = []
     pa, pb = a.provenance, b.provenance

@@ -8,7 +8,7 @@ streaming pipeline:
 
 - :class:`StreamingRecorder` shares :class:`TraceRecorder`'s recording
   interface but holds only a bounded ring of recent events, incrementally
-  spills schema-2 JSONL to disk and fans every event into subscribers.
+  spills schema-3 JSONL to disk and fans every event into subscribers.
   The spill is append-only in recording order through the same
   :func:`~repro.obs.trace.encode_event_line` encoder the offline export
   uses, so the finished file is **byte-identical** to a post-hoc

@@ -40,12 +40,11 @@ Event taxonomy (see DESIGN.md §9, §11):
 The ``c`` column (``cause`` on ``evict_flush``, ``fase_id`` on
 ``drain``) arrived in trace schema 2 under the name ``resize_evict``
 (a 0/1 flag); schema 3 renames it to ``cause`` and widens it to the
-cause codes above — values 0/1 mean exactly what the schema-2 flag
-meant, so base-technique traces are byte-identical apart from the key.
-:func:`parse_jsonl` reads schema-2 documents through
-:data:`LEGACY_ARG_NAMES` and schema-1 documents (PR 2) with the
-documented defaults (``cause=0``, ``fase_id=-1``), so provenance
-degrades to "unattributed", never to a parse error.
+cause codes above.  This build reads schema 3 only: one line decoder
+(:class:`TraceLineDecoder`), shared by :func:`parse_jsonl` and the
+``monitor --follow`` tail, rejects a document without a schema-3
+``trace_meta`` header with a ``ConfigurationError`` that says to
+re-record the trace.
 
 Exports: JSON-lines (a ``trace_meta`` header line carrying the schema
 version, then one event per line, sorted keys — byte-identical across
@@ -64,12 +63,11 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-#: Version of the event taxonomy written by this recorder.  Schema 2
-#: added the third event argument (``resize_evict`` on ``evict_flush``,
-#: ``fase_id`` on ``drain``); schema 3 renamed ``resize_evict`` to
-#: ``cause`` and widened it to the policy-stage cause codes (clean /
-#: bypass / victim).  Older documents read back through
-#: :data:`LEGACY_ARG_NAMES` and :data:`V1_ARG_DEFAULTS`.
+#: Version of the event taxonomy written by this recorder, and the only
+#: one :class:`TraceLineDecoder` reads.  Schema 2 added the third event
+#: argument (``resize_evict`` on ``evict_flush``, ``fase_id`` on
+#: ``drain``); schema 3 renamed ``resize_evict`` to ``cause`` and
+#: widened it to the policy-stage cause codes (clean / bypass / victim).
 TRACE_SCHEMA_VERSION = 3
 
 #: The ``kind`` of the JSONL header line (not a simulator event).
@@ -110,21 +108,6 @@ ARG_NAMES: Dict[str, Tuple[Optional[str], Optional[str], Optional[str]]] = {
     EV_KNEE_CANDIDATE: ("size", "miss_ratio_ppm", None),
     EV_SIZE_SELECTED: ("size", None, None),
     EV_STALL: ("stall_cycles", "source", None),
-}
-
-#: Value assumed for a newer-schema field absent from an older document,
-#: keyed by ``(kind, arg_name)``.  Anything else missing decodes as 0.
-V1_ARG_DEFAULTS: Dict[Tuple[str, str], int] = {
-    (EV_EVICT_FLUSH, "cause"): 0,
-    (EV_DRAIN, "fase_id"): -1,
-}
-
-#: Superseded JSONL key per ``(kind, current_arg_name)``: schema-2
-#: documents wrote the ``evict_flush`` cause under ``resize_evict``
-#: (same 0/1 values as cause codes 0/1), and :func:`parse_jsonl` falls
-#: back to it before assuming a default.
-LEGACY_ARG_NAMES: Dict[Tuple[str, str], str] = {
-    (EV_EVICT_FLUSH, "cause"): "resize_evict",
 }
 
 
@@ -262,9 +245,8 @@ class TraceRecorder:
         self._a: List[int] = []
         self._b: List[int] = []
         self._c: List[int] = []
-        #: Schema of the taxonomy these events use.  A fresh recorder
-        #: writes the current schema; :func:`parse_jsonl` sets the
-        #: loaded document's declared (or sniffed) version instead.
+        #: Schema of the taxonomy these events use (the only one
+        #: :func:`parse_jsonl` accepts, so parsed documents carry it too).
         self.schema = TRACE_SCHEMA_VERSION
 
     # -- recording -------------------------------------------------------
@@ -436,65 +418,98 @@ class TraceRecorder:
         return f"TraceRecorder(events={len(self)}, kinds={list(self.counts())})"
 
 
-#: Inverse of :data:`ARG_NAMES`: ``kind -> {arg_name: column_index}``.
-_ARG_COLUMNS: Dict[str, Dict[str, int]] = {
-    kind: {name: i for i, name in enumerate(names) if name is not None}
-    for kind, names in ARG_NAMES.items()
-}
+class TraceLineDecoder:
+    """Decode a JSONL trace one line at a time: the one reader of the format.
+
+    :func:`parse_jsonl` (a whole document) and the monitor's
+    ``TraceTailer`` (a file still being written) feed their lines
+    through this class, so both accept and reject exactly the same
+    documents.  An event before a schema-3 ``trace_meta`` header, a
+    header declaring any other schema, a non-JSON line, an unknown kind
+    or a missing field raises ``ConfigurationError`` naming
+    ``source`` and the line number.
+    """
+
+    __slots__ = ("source", "schema")
+
+    def __init__(self, source: str = "trace") -> None:
+        self.source = source
+        #: The declared schema once the header line has been read.
+        self.schema: Optional[int] = None
+
+    def decode(
+        self, line: str, lineno: int
+    ) -> Optional[Tuple[str, int, int, int, int, int]]:
+        """Decode one non-blank line: ``None`` for the header, else the
+        ``(kind, tid, ts, a, b, c)`` arguments of
+        :meth:`TraceRecorder.record`."""
+        from repro.common.errors import ConfigurationError
+
+        where = f"{self.source} line {lineno}"
+        try:
+            doc = json.loads(line)
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}: not JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"{where}: not a JSON object")
+        kind = doc.get("kind")
+        if kind == TRACE_META_KIND:
+            schema = doc.get("schema")
+            if schema != TRACE_SCHEMA_VERSION:
+                raise ConfigurationError(
+                    f"{where}: unsupported trace schema {schema!r}; this "
+                    f"build reads schema {TRACE_SCHEMA_VERSION} only, so "
+                    f"re-record the trace with schema {TRACE_SCHEMA_VERSION}"
+                )
+            self.schema = schema
+            return None
+        if self.schema is None:
+            raise ConfigurationError(
+                f"{where}: event before any trace_meta header (a schema-1 "
+                f"trace?); re-record the trace with schema "
+                f"{TRACE_SCHEMA_VERSION}"
+            )
+        names = ARG_NAMES.get(kind)
+        if names is None:
+            raise ConfigurationError(f"{where}: unknown event kind {kind!r}")
+        try:
+            a, b, c = (doc[name] if name is not None else 0 for name in names)
+            return (kind, doc["tid"], doc["ts"], a, b, c)
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"{where}: {kind} event lacks field {exc}"
+            ) from None
 
 
-def parse_jsonl(text: str) -> TraceRecorder:
+def parse_jsonl(text: str, source: str = "trace") -> TraceRecorder:
     """Rebuild a :class:`TraceRecorder` from its JSONL export.
 
-    Accepts schema-3 and schema-2 documents (``trace_meta`` header line)
-    and the headerless schema-1 documents written by PR 2.  Renamed
-    fields read back through :data:`LEGACY_ARG_NAMES` (schema 2's
-    ``resize_evict`` becomes ``cause`` — the values coincide) and absent
-    fields decode to :data:`V1_ARG_DEFAULTS`, so old traces analyze with
-    provenance "unattributed" rather than failing.
+    Every line goes through :class:`TraceLineDecoder` (errors name
+    ``source``); a document with no ``trace_meta`` header at all (empty,
+    or a schema-1 trace) raises ``ConfigurationError`` as well.
     """
     from repro.common.errors import ConfigurationError
 
     rec = TraceRecorder()
-    rec.schema = 1  # headerless documents are schema 1 by definition
+    decoder = TraceLineDecoder(source)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError as exc:
-            raise ConfigurationError(f"trace line {lineno}: not JSON ({exc})") from None
-        kind = doc.get("kind")
-        if kind == TRACE_META_KIND:
-            schema = doc.get("schema")
-            if not isinstance(schema, int) or schema < 1 or schema > TRACE_SCHEMA_VERSION:
-                raise ConfigurationError(
-                    f"trace line {lineno}: unsupported trace schema {schema!r} "
-                    f"(this build reads 1..{TRACE_SCHEMA_VERSION})"
-                )
-            rec.schema = schema
-            continue
-        if kind not in _ARG_COLUMNS:
-            raise ConfigurationError(f"trace line {lineno}: unknown event kind {kind!r}")
-        cols = [0, 0, 0]
-        for name, idx in _ARG_COLUMNS[kind].items():
-            if name in doc:
-                cols[idx] = doc[name]
-            else:
-                legacy = LEGACY_ARG_NAMES.get((kind, name))
-                if legacy is not None and legacy in doc:
-                    cols[idx] = doc[legacy]
-                else:
-                    cols[idx] = V1_ARG_DEFAULTS.get((kind, name), 0)
-        rec.record(kind, doc["tid"], doc["ts"], cols[0], cols[1], cols[2])
+        if line:
+            event = decoder.decode(line, lineno)
+            if event is not None:
+                rec.record(*event)
+    if decoder.schema is None:
+        raise ConfigurationError(
+            f"{source} has no trace_meta header; re-record the trace with "
+            f"schema {TRACE_SCHEMA_VERSION}"
+        )
     return rec
 
 
 def read_jsonl(path: str) -> TraceRecorder:
     """Load a JSONL trace file written by :meth:`TraceRecorder.write_jsonl`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_jsonl(fh.read())
+        return parse_jsonl(fh.read(), source=path)
 
 
 class NullRecorder:

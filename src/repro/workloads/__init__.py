@@ -23,7 +23,7 @@ store.  Here:
 The MDB workload lives in :mod:`repro.mdb`.
 """
 
-from repro.workloads.base import Workload, BumpAllocator, TraceWorkload, ComposedWorkload
+from repro.workloads.base import Workload, BumpAllocator, ComposedWorkload
 from repro.workloads.parray import PersistentArray
 from repro.workloads.linkedlist import LinkedListWorkload
 from repro.workloads.msqueue import QueueWorkload
@@ -35,7 +35,6 @@ from repro.workloads.registry import get_workload, WORKLOAD_NAMES
 __all__ = [
     "Workload",
     "BumpAllocator",
-    "TraceWorkload",
     "ComposedWorkload",
     "PersistentArray",
     "LinkedListWorkload",

@@ -5,13 +5,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.common.events import (
-    Event,
-    EventBatch,
-    FaseBegin,
-    FaseEnd,
-    Store,
-)
+from repro.common.events import Event, EventBatch
 from repro.common.geometry import CACHE_LINE_SIZE, align_up
 from repro.nvram.memory import NVRAM_BASE
 
@@ -127,44 +121,6 @@ class BatchCachingWorkload(Workload):
         return [iter(per_thread) for per_thread in entry]
 
 
-class PrebuiltBatchWorkload(Workload):
-    """Serve already-materialized per-thread :class:`EventBatch` lists.
-
-    The adapter the sharded executor and the shared-memory transport
-    feed into ``Machine.run``: a shard's substreams (or batches rebuilt
-    from a shared-memory segment) are plain lists of batches, and this
-    wraps them in the ``Workload`` protocol without re-deriving anything
-    from a generator.  Reusable: every ``batch_streams`` call returns
-    fresh iterators over the same lists.
-    """
-
-    def __init__(self, name: str, per_thread_batches: Sequence[Sequence[EventBatch]]) -> None:
-        self.name = name
-        self._batches: List[List[EventBatch]] = [list(b) for b in per_thread_batches]
-
-    def supports_threads(self, num_threads: int) -> bool:
-        return num_threads == len(self._batches)
-
-    def _check_threads(self, num_threads: int) -> None:
-        if num_threads != len(self._batches):
-            raise ConfigurationError(
-                f"prebuilt workload has {len(self._batches)} threads, "
-                f"{num_threads} requested"
-            )
-
-    def batch_streams(
-        self, num_threads: int, seed: int
-    ) -> List[Iterator[EventBatch]]:
-        self._check_threads(num_threads)
-        return [iter(batches) for batches in self._batches]
-
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
-        from repro.common.events import events_from_batches
-
-        self._check_threads(num_threads)
-        return [events_from_batches(iter(b)) for b in self._batches]
-
-
 class BumpAllocator:
     """A trivial persistent-heap allocator for workload data structures.
 
@@ -194,96 +150,6 @@ class BumpAllocator:
     def alloc_lines(self, nlines: int) -> int:
         """Reserve ``nlines`` whole cache lines; return the base address."""
         return self.alloc(nlines * CACHE_LINE_SIZE, line_aligned=True)
-
-
-class TraceWorkload(Workload):
-    """Replay pre-computed per-thread write traces as store events.
-
-    Used by tests and by trace-level experiments: each per-thread trace
-    is a sequence of ``(line, fase_id)`` records; consecutive runs of the
-    same fase id are bracketed with ``FaseBegin``/``FaseEnd``, and
-    ``fase_id == -1`` emits bare stores.
-    """
-
-    def __init__(self, per_thread_traces: Sequence, name: str = "trace") -> None:
-        self.name = name
-        self._traces = list(per_thread_traces)
-
-    def supports_threads(self, num_threads: int) -> bool:
-        return num_threads == len(self._traces)
-
-    def streams(self, num_threads: int, seed: int) -> List[Iterator[Event]]:
-        if num_threads != len(self._traces):
-            raise ConfigurationError(
-                f"trace workload has {len(self._traces)} threads, "
-                f"{num_threads} requested"
-            )
-        return [self._replay(trace) for trace in self._traces]
-
-    def batch_streams(
-        self, num_threads: int, seed: int
-    ) -> List[Iterator[EventBatch]]:
-        if num_threads != len(self._traces):
-            raise ConfigurationError(
-                f"trace workload has {len(self._traces)} threads, "
-                f"{num_threads} requested"
-            )
-        return [self._replay_batches(trace) for trace in self._traces]
-
-    @staticmethod
-    def _trace_shift(lines) -> int:
-        # Traces recorded from the machine carry real NVRAM line ids;
-        # synthetic traces often use small ids starting at 0.  Shift the
-        # latter into the persistence domain so replayed stores are
-        # persistent (a constant shift preserves the flush pattern).
-        if len(lines) and int(lines.max()) * CACHE_LINE_SIZE < NVRAM_BASE:
-            return NVRAM_BASE // CACHE_LINE_SIZE
-        return 0
-
-    @classmethod
-    def _replay(cls, trace) -> Iterator[Event]:
-        lines = trace.lines
-        fids = trace.fase_ids
-        shift = cls._trace_shift(lines)
-        current = None
-        for i in range(len(lines)):
-            fid = int(fids[i])
-            if fid != current:
-                if current is not None and current != -1:
-                    yield FaseEnd()
-                if fid != -1:
-                    yield FaseBegin()
-                current = fid
-            yield Store((int(lines[i]) + shift) * CACHE_LINE_SIZE, 8)
-        if current is not None and current != -1:
-            yield FaseEnd()
-
-    @classmethod
-    def _replay_batches(cls, trace, chunk: int = 4096) -> Iterator[EventBatch]:
-        """Batched mirror of :meth:`_replay` (same event sequence)."""
-        lines = trace.lines.tolist()
-        fids = trace.fase_ids.tolist()
-        shift = cls._trace_shift(trace.lines)
-        line_size = CACHE_LINE_SIZE
-        batch = EventBatch()
-        current = None
-        for i in range(len(lines)):
-            fid = fids[i]
-            if fid != current:
-                if current is not None and current != -1:
-                    batch.append_fase_end()
-                if fid != -1:
-                    batch.append_fase_begin()
-                current = fid
-            batch.append_store((lines[i] + shift) * line_size, 8)
-            # FASE state carries across batches, so splits can fall anywhere.
-            if len(batch.kinds) >= chunk:
-                yield batch
-                batch = EventBatch()
-        if current is not None and current != -1:
-            batch.append_fase_end()
-        if len(batch.kinds):
-            yield batch
 
 
 class ComposedWorkload(Workload):

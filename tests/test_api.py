@@ -1,7 +1,7 @@
-"""The typed facade, and the deprecation shims easing migration to it.
+"""The typed facade, and the keyword-only signatures beneath it.
 
 The one property that matters: a ``RunSpec``-driven run is bit-identical
-to the legacy hand-wired path — the facade changes spelling, never
+to a hand-wired ``Machine`` run — the facade changes spelling, never
 results.
 """
 
@@ -11,7 +11,7 @@ import pytest
 
 from repro import api
 from repro.cache.adaptive import AdaptiveConfig, AdaptiveController
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.common.events import FaseBegin, FaseEnd, Store
 from repro.experiments.harness import Harness, HarnessConfig
@@ -31,7 +31,7 @@ class OneFase(Workload):
 
 
 # ---------------------------------------------------------------------------
-# RunSpec: validation and equivalence with the legacy path
+# RunSpec: validation and equivalence with the hand-wired path
 # ---------------------------------------------------------------------------
 
 
@@ -52,15 +52,16 @@ def test_runspec_validation():
 
 
 def test_run_is_bit_identical_to_hand_wired_machine():
-    """api.run vs the raw Machine + make_factory spelling, LA technique
-    (no profile-derived kwargs, so the legacy path is fully explicit)."""
+    """api.run vs the raw Machine + technique_factory spelling, LA
+    technique (no profile-derived kwargs, so the hand-wired path is fully
+    explicit)."""
     spec = api.RunSpec(workload="linked-list", technique="LA", scale=0.02, seed=3)
     via_api = api.run(spec)
 
     workload = get_workload("linked-list", scale=0.02)
     machine = Machine(spec.machine_config())
     legacy = machine.run(
-        workload, make_factory("LA"), num_threads=1, seed=3
+        workload, technique_factory("LA"), num_threads=1, seed=3
     )
     assert dataclasses.asdict(via_api) == dataclasses.asdict(legacy)
 
@@ -114,41 +115,38 @@ def test_top_level_lazy_exports():
         repro.no_such_name
 
 
-# ---------------------------------------------------------------------------
-# Deprecation shims: positional spellings warn but keep working
-# ---------------------------------------------------------------------------
+def test_runspec_canonicalizes_spec_strings():
+    from repro.cache.spec import TechniqueSpec
 
-
-def test_machine_init_positional_recorder_warns():
-    from repro.obs.trace import TraceRecorder
-
-    recorder = TraceRecorder()
-    with pytest.warns(DeprecationWarning):
-        machine = Machine(MachineConfig(), recorder)
-    assert machine.recorder is recorder
-    with pytest.raises(TypeError):
-        Machine(MachineConfig(), recorder, None, "extra")
-
-
-def test_machine_run_positional_threads_warns():
-    with pytest.warns(DeprecationWarning):
-        result = Machine(MachineConfig()).run(OneFase(), make_factory("LA"), 1, 0)
-    keyword = Machine(MachineConfig()).run(
-        OneFase(), make_factory("LA"), num_threads=1, seed=0
+    spec = api.RunSpec(workload="queue", technique="SC+clean", scale=0.05)
+    assert spec.technique == "SC+clean:4"
+    spec = api.RunSpec(
+        workload="queue",
+        technique=TechniqueSpec.parse("SC+victim:8"),
+        scale=0.05,
     )
-    assert dataclasses.asdict(result) == dataclasses.asdict(keyword)
-    with pytest.raises(TypeError):
-        Machine(MachineConfig()).run(
-            OneFase(), make_factory("LA"), 1, 0, False, None, None, "extra"
-        )
+    assert spec.technique == "SC+victim:8"
 
 
-def test_adaptive_controller_positional_config_warns():
-    cfg = AdaptiveConfig(burst_length=32)
-    with pytest.warns(DeprecationWarning):
-        controller = AdaptiveController(cfg)
-    assert controller.config is cfg
+def test_runspec_rejects_bad_specs_at_construction():
+    with pytest.raises(ConfigurationError, match="unknown policy stage"):
+        api.RunSpec(workload="queue", technique="SC+bogus")
+
+
+# ---------------------------------------------------------------------------
+# Keyword-only signatures: the old positional spellings are errors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Machine(MachineConfig(), None),
+        lambda: Machine(MachineConfig()).run(OneFase(), technique_factory("LA"), 1, 0),
+        lambda: AdaptiveController(AdaptiveConfig(burst_length=32)),
+    ],
+    ids=["machine_init", "machine_run", "adaptive_controller"],
+)
+def test_positional_spellings_raise_type_error(call):
     with pytest.raises(TypeError):
-        AdaptiveController(cfg, cfg)
-    # The keyword spelling is silent.
-    assert AdaptiveController(config=cfg).config is cfg
+        call()

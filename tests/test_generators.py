@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventKind, validate_stream
 from repro.nvram.machine import Machine, MachineConfig
@@ -24,7 +24,7 @@ def cfg(**kw):
 
 def run(workload, technique, threads=1, seed=2, **kw):
     machine = Machine(MachineConfig())
-    return machine.run(workload, make_factory(technique, **kw), num_threads=threads, seed=seed)
+    return machine.run(workload, technique_factory(technique, **kw), num_threads=threads, seed=seed)
 
 
 def test_config_validation():

@@ -10,14 +10,14 @@ from repro.atlas.log import (
     UndoLog,
 )
 from repro.atlas.region import RegionManager
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.nvram.machine import Machine, MachineConfig
 
 
 @pytest.fixture
 def setup():
     machine = Machine(MachineConfig(track_values=True))
-    session = machine.session(make_factory("LA")(0))
+    session = machine.session(technique_factory("LA")(0))
     region = RegionManager().find_or_create("log", 1 << 16)
     return machine, session, UndoLog(region, session)
 

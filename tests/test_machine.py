@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.events import FaseBegin, FaseEnd, Load, Store, Work
 from repro.nvram.failure import CrashPlan
@@ -26,7 +26,7 @@ class ListWorkload(Workload):
 def run(machine, *streams, technique="LA", threads=None, **kwargs):
     w = ListWorkload(*streams)
     return machine.run(
-        w, make_factory(technique), num_threads=threads or len(streams), seed=0, **kwargs
+        w, technique_factory(technique), num_threads=threads or len(streams), seed=0, **kwargs
     )
 
 
@@ -106,13 +106,13 @@ def test_two_threads_interleave_and_aggregate(machine):
 def test_wrong_stream_count_rejected(machine):
     w = ListWorkload([Work(1)])
     with pytest.raises(SimulationError):
-        machine.run(w, make_factory("LA"), num_threads=2, seed=0)
+        machine.run(w, technique_factory("LA"), num_threads=2, seed=0)
 
 
 def test_thread_count_validation(machine):
     w = ListWorkload([Work(1)])
     with pytest.raises(ConfigurationError):
-        machine.run(w, make_factory("LA"), num_threads=0, seed=0)
+        machine.run(w, technique_factory("LA"), num_threads=0, seed=0)
 
 
 def test_trace_recording(machine):
@@ -163,7 +163,7 @@ def test_eager_survives_crash():
 
 
 def test_session_basic_flow(value_machine):
-    tech = make_factory("LA")(0)
+    tech = technique_factory("LA")(0)
     s = value_machine.session(tech)
     s.fase_begin()
     s.store(PA, 8, value="x")
@@ -175,7 +175,7 @@ def test_session_basic_flow(value_machine):
 
 
 def test_session_load_reads_through_cache(value_machine):
-    tech = make_factory("BEST")(0)
+    tech = technique_factory("BEST")(0)
     s = value_machine.session(tech)
     s.store(PA, 8, value=41)
     # Dirty in cache, not in NVRAM - but loads must see it.
@@ -184,7 +184,7 @@ def test_session_load_reads_through_cache(value_machine):
 
 
 def test_session_store_unmanaged_bypasses_technique(value_machine):
-    tech = make_factory("LA")(0)
+    tech = technique_factory("LA")(0)
     s = value_machine.session(tech)
     s.fase_begin()
     s.store_unmanaged(PA, 8, value="meta")
@@ -196,14 +196,14 @@ def test_session_store_unmanaged_bypasses_technique(value_machine):
 
 
 def test_session_finish_inside_fase_raises(value_machine):
-    s = value_machine.session(make_factory("LA")(0))
+    s = value_machine.session(technique_factory("LA")(0))
     s.fase_begin()
     with pytest.raises(SimulationError):
         s.finish()
 
 
 def test_session_trace_recording(value_machine):
-    s = value_machine.session(make_factory("BEST")(0), record_trace=True)
+    s = value_machine.session(technique_factory("BEST")(0), record_trace=True)
     s.fase_begin()
     s.store(PA, 8)
     s.fase_end()
@@ -212,6 +212,6 @@ def test_session_trace_recording(value_machine):
 
 
 def test_read_current_prefers_pending_value(value_machine):
-    s = value_machine.session(make_factory("ER")(0))
+    s = value_machine.session(technique_factory("ER")(0))
     s.store(PA, 8, value="first")    # ER flushes: durable immediately
     assert value_machine.read_current(PA) == "first"

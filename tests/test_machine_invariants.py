@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.events import (
     FaseBegin,
     FaseEnd,
@@ -80,7 +80,7 @@ def run(events, technique, batched=False, more_threads=()):
     )
     result = machine.run(
         workload,
-        make_factory(technique, **kwargs),
+        technique_factory(technique, **kwargs),
         num_threads=1 + len(more_threads),
         seed=0,
     )

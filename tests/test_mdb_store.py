@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.mdb.kvstore import MdbStore
 from repro.mdb.mtest import MtestWorkload
@@ -173,7 +173,7 @@ def test_store_matches_dict_model(ops_list):
 def test_mtest_through_machine():
     w = MtestWorkload(pairs=400)
     machine = Machine(MachineConfig())
-    res = machine.run(w, make_factory("LA"), num_threads=1, seed=0)
+    res = machine.run(w, technique_factory("LA"), num_threads=1, seed=0)
     assert res.persistent_stores > 5_000
     assert res.fase_count >= 400 // 24
     assert 0 < res.flush_ratio < 1
@@ -182,7 +182,7 @@ def test_mtest_through_machine():
 def test_mtest_reader_threads_do_not_flush():
     w = MtestWorkload(pairs=400)
     machine = Machine(MachineConfig())
-    res = machine.run(w, make_factory("LA"), num_threads=3, seed=0)
+    res = machine.run(w, technique_factory("LA"), num_threads=3, seed=0)
     writer, readers = res.threads[0], res.threads[1:]
     assert writer.flushes > 0
     assert all(r.flushes == 0 for r in readers)
@@ -200,7 +200,7 @@ def test_mtest_validation():
 
 def test_mtest_deterministic():
     w = MtestWorkload(pairs=300)
-    r1 = Machine(MachineConfig()).run(w, make_factory("LA"), num_threads=1, seed=4)
-    r2 = Machine(MachineConfig()).run(w, make_factory("LA"), num_threads=1, seed=4)
+    r1 = Machine(MachineConfig()).run(w, technique_factory("LA"), num_threads=1, seed=4)
+    r2 = Machine(MachineConfig()).run(w, technique_factory("LA"), num_threads=1, seed=4)
     assert r1.flushes == r2.flushes
     assert r1.persistent_stores == r2.persistent_stores

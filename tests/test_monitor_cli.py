@@ -52,7 +52,7 @@ def test_tailer_holds_back_partial_lines(tmp_path):
     assert tailer.poll() == 1
     tailer.close()
     assert tailer.events == 2
-    assert tailer.schema == rec.schema
+    assert tailer.decoder.schema == rec.schema
     assert prof.finalize().provenance.evict_flushes == 2
 
 
@@ -107,6 +107,43 @@ def test_tailer_rejects_garbage(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(ConfigurationError):
         TraceTailer(str(path), StreamingProfile(100)).poll()
+
+
+@pytest.mark.parametrize(
+    "header",
+    ['{"kind":"trace_meta","schema":99}\n', '{"kind":"trace_meta","schema":2}\n', ""],
+    ids=["schema99", "schema2", "headerless"],
+)
+def test_tailer_rejects_any_schema_but_3(tmp_path, header):
+    """Regression: the tail used to ingest a schema-99 file's events
+    that ``parse_jsonl`` (and so ``profile``) rejects; both now decode
+    through one ``TraceLineDecoder``."""
+    from repro.common.errors import ConfigurationError
+
+    path = tmp_path / "other.jsonl"
+    path.write_text(
+        header + '{"cause":0,"dirty":1,"kind":"evict_flush","line":5,"tid":0,"ts":10}\n'
+    )
+    with pytest.raises(ConfigurationError, match="schema"):
+        TraceTailer(str(path), StreamingProfile(100)).poll()
+
+
+def test_tailer_rejects_a_headerless_file_rotated_in(tmp_path):
+    """A rotated-in file is a new document and needs its own header."""
+    from repro.common.errors import ConfigurationError
+
+    rec = TraceRecorder()
+    rec.record(EV_EVICT_FLUSH, 0, 10, 5, 1, 0)
+    path = tmp_path / "rotating.jsonl"
+    path.write_text(rec.to_jsonl())
+    tailer = TraceTailer(str(path), StreamingProfile(100))
+    assert tailer.poll() == 1
+    path.unlink()
+    path.write_text(
+        '{"cause":0,"dirty":1,"kind":"evict_flush","line":6,"tid":0,"ts":20}\n'
+    )
+    with pytest.raises(ConfigurationError, match="trace_meta header"):
+        tailer.poll()
 
 
 # ---------------------------------------------------------------------------

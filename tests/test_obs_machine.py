@@ -8,7 +8,7 @@ traced runs of one configuration export byte-identical documents.
 
 import json
 
-from repro.cache.policies import make_factory
+from repro.cache.spec import technique_factory
 from repro.nvram.machine import Machine, MachineConfig
 from repro.obs.runner import traced_run
 from repro.obs.trace import (
@@ -82,7 +82,7 @@ def test_per_event_and_batched_traces_are_identical():
         machine = Machine(MachineConfig(), recorder=recorder)
         machine.run(
             get_workload("water-spatial", scale=0.05),
-            make_factory(technique),
+            technique_factory(technique),
             num_threads=2,
             seed=7,
             use_batches=use_batches,
@@ -120,7 +120,7 @@ def test_evict_flush_resize_flags():
     machine = Machine(MachineConfig(l1_capacity_lines=16), recorder=recorder)
     result = machine.run(
         get_workload("water-spatial", scale=0.05),
-        make_factory("SC"),
+        technique_factory("SC"),
         num_threads=2,
         seed=7,
     )
@@ -141,7 +141,7 @@ def test_resize_eviction_carries_the_resize_flag():
 
     recorder = TraceRecorder()
     machine = Machine(MachineConfig(), recorder=recorder)
-    technique = make_factory("SC-offline", sc_fixed_size=8)(0)
+    technique = technique_factory("SC-offline", sc_fixed_size=8)(0)
     session = machine.session(technique)
     for i in range(8):
         session.store(NVRAM_BASE + 64 * i)

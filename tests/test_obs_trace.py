@@ -111,17 +111,33 @@ def test_fast_encoder_matches_json_reference_for_every_kind():
     )
 
 
-def test_parse_jsonl_reads_schema1_with_defaults():
-    # A PR-2 document: no trace_meta header, no resize_evict/fase_id.
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Schema 1: no trace_meta header, no resize_evict/fase_id.
+        '{"dirty":1,"kind":"evict_flush","line":42,"tid":0,"ts":10}\n',
+        # Schema 2: header, and the cause still named resize_evict.
+        '{"kind":"trace_meta","schema":2}\n'
+        '{"dirty":1,"kind":"evict_flush","line":42,"resize_evict":0,'
+        '"tid":0,"ts":10}\n',
+        # No header and no events at all.
+        "",
+    ],
+    ids=["schema1", "schema2", "empty"],
+)
+def test_parse_jsonl_rejects_pre_schema3_documents(text):
+    with pytest.raises(ConfigurationError, match="re-record the trace with schema 3"):
+        parse_jsonl(text)
+
+
+def test_parse_jsonl_rejects_schema3_event_missing_a_field():
     text = (
-        '{"dirty":1,"kind":"evict_flush","line":42,"tid":0,"ts":10}\n'
-        '{"kind":"drain","outstanding":3,"stall_cycles":7,"tid":0,"ts":20}\n'
+        '{"kind":"trace_meta","schema":3}\n'
+        '{"dirty":1,"kind":"evict_flush","line":42,"resize_evict":0,'
+        '"tid":0,"ts":10}\n'
     )
-    rec = parse_jsonl(text)
-    assert rec.schema == 1
-    flush, drain = rec.events()
-    assert flush.c == 0      # resize_evict defaults to "not resize-forced"
-    assert drain.c == -1     # fase_id defaults to "unattributed"
+    with pytest.raises(ConfigurationError, match="lacks field 'cause'"):
+        parse_jsonl(text)
 
 
 def test_parse_jsonl_rejects_garbage():
@@ -129,6 +145,8 @@ def test_parse_jsonl_rejects_garbage():
         parse_jsonl('{"kind":"no_such_event","tid":0,"ts":0}\n')
     with pytest.raises(ConfigurationError):
         parse_jsonl("not json\n")
+    with pytest.raises(ConfigurationError):
+        parse_jsonl("[1, 2]\n")
     with pytest.raises(ConfigurationError):
         parse_jsonl('{"kind":"trace_meta","schema":99}\n')
 

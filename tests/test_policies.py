@@ -10,8 +10,8 @@ from repro.cache.policies import (
     EagerTechnique,
     LazyTechnique,
     SoftwareCacheTechnique,
-    make_factory,
 )
+from repro.cache.spec import technique_factory
 from repro.common.errors import ConfigurationError
 
 
@@ -140,12 +140,12 @@ def test_best_never_flushes():
 def test_factory_known_names():
     for name in TECHNIQUES:
         kwargs = {"sc_fixed_size": 8} if name == "SC-offline" else {}
-        technique = make_factory(name, **kwargs)(0)
+        technique = technique_factory(name, **kwargs)(0)
         assert technique.name in (name, "SC")
 
 
 def test_factory_per_thread_instances_are_independent():
-    factory = make_factory("SC")
+    factory = technique_factory("SC")
     a, b = factory(0), factory(1)
     assert a is not b
     assert a.cache is not b.cache
@@ -154,9 +154,9 @@ def test_factory_per_thread_instances_are_independent():
 
 def test_factory_rejects_unknown_and_missing_args():
     with pytest.raises(ConfigurationError):
-        make_factory("nope")
+        technique_factory("nope")
     with pytest.raises(ConfigurationError):
-        make_factory("SC-offline")
+        technique_factory("SC-offline")
 
 
 def test_cost_ordering_matches_table4():

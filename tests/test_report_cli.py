@@ -16,6 +16,18 @@ def test_generators_cover_every_artifact():
     }
 
 
+@pytest.mark.parametrize("artifact", ["profile", "tracediff"])
+def test_trace_artifacts_reject_a_schema2_trace(tmp_path, capsys, artifact):
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        '{"kind":"trace_meta","schema":2}\n'
+        '{"dirty":1,"kind":"evict_flush","line":5,"resize_evict":0,"tid":0,"ts":1}\n'
+    )
+    traces = ["--trace", str(path)] * (2 if artifact == "tracediff" else 1)
+    assert main([artifact, *traces]) == 2
+    assert "unsupported trace schema 2" in capsys.readouterr().err
+
+
 def test_generate_subset(tiny_harness, tmp_path):
     path = tmp_path / "EXP.md"
     body = generate(tiny_harness, artifacts=["figure2"], write_path=str(path))

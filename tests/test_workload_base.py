@@ -1,14 +1,11 @@
-"""Workload base utilities: allocator, trace replay."""
+"""Workload base utilities: the bump allocator."""
 
 import pytest
 
-from repro.cache.policies import make_factory
 from repro.common.errors import ConfigurationError
 from repro.common.geometry import CACHE_LINE_SIZE
-from repro.locality.trace import WriteTrace
-from repro.nvram.machine import Machine, MachineConfig
 from repro.nvram.memory import NVRAM_BASE
-from repro.workloads.base import BumpAllocator, TraceWorkload
+from repro.workloads.base import BumpAllocator
 
 
 def test_bump_allocator_monotone_disjoint():
@@ -31,41 +28,3 @@ def test_bump_allocator_validation():
         BumpAllocator(base=0)
     with pytest.raises(ConfigurationError):
         BumpAllocator().alloc(0)
-
-
-def test_trace_workload_replays_fases():
-    t = WriteTrace([1, 2, 1, 3], [0, 0, 1, -1])
-    w = TraceWorkload([t])
-    machine = Machine(MachineConfig())
-    res = machine.run(w, make_factory("LA"), num_threads=1, seed=0, record_traces=True)
-    assert res.persistent_stores == 4
-    assert res.fase_count == 2
-    replayed = res.traces[0]
-    # Line pattern preserved (modulo the NVRAM shift).
-    assert (replayed.lines[0] == replayed.lines[2])
-    assert (replayed.lines[0] != replayed.lines[1])
-    assert list(replayed.fase_ids)[3] == -1
-
-
-def test_trace_workload_shifts_small_lines_into_nvram():
-    t = WriteTrace([0, 1, 2])
-    events = list(TraceWorkload([t]).streams(1, 0)[0])
-    stores = [e for e in events if e.kind == 0]
-    assert all(s.addr >= NVRAM_BASE for s in stores)
-
-
-def test_trace_workload_thread_count_enforced():
-    w = TraceWorkload([WriteTrace([1])])
-    with pytest.raises(ConfigurationError):
-        w.streams(2, 0)
-    assert w.supports_threads(1)
-    assert not w.supports_threads(2)
-
-
-def test_trace_workload_multi_thread():
-    w = TraceWorkload([WriteTrace([1, 2]), WriteTrace([3])])
-    machine = Machine(MachineConfig())
-    res = machine.run(w, make_factory("ER"), num_threads=2, seed=0)
-    assert res.persistent_stores == 3
-    assert res.threads[0].persistent_stores == 2
-    assert res.threads[1].persistent_stores == 1
